@@ -2,7 +2,7 @@
 
 Usage, from the repository root::
 
-    python3 bench/run.py --workload ls-wfpc --seed 1 --seconds 15 --trace 0
+    python3 bench/run.py --workload ls-wfpc --seed 1 --seconds 24 --trace 0
     python3 bench/run.py --workload all          # every workload, one process each
 
 One run is one fresh process and one closed-loop client: the next query
@@ -11,7 +11,11 @@ starts only after the previous one returns.  A query is one held-out
 ``driver.solve_rom`` is timed wall to wall.  Query parameters come from
 ``--seed``; every program seed (training, WFPC test matrix) stays 0.  The
 run repeats passes over the same parameters until ``--seconds`` have gone
-by, and checks that every repeat reproduces the first bitwise.
+by, and checks that every repeat reproduces the first bitwise.  Each
+time is rescaled to a reference host speed by a probe kernel timed next
+to it (``hostspeed.py``); latency metrics take the median over each
+parameter's repeats (``point_ms``), then the median and tail over the
+parameters.
 
 ``--trace 0`` prints the end-to-end metrics; ``--trace 1`` alternates
 untraced and traced queries and prints the per-layer metrics, taken from
@@ -49,6 +53,8 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
+import hostspeed  # noqa: E402  (bench/ is the script's directory)
+
 BENCH = Path(__file__).resolve().parent
 ROOT = BENCH.parent
 OUT = BENCH / "out"
@@ -68,14 +74,18 @@ def tail_percentile(n: int) -> int:
     """Highest whole percentile with at least ten of ``n`` samples beyond
     it, and never below the median.
 
-    It is taken for one pass over the workload's distinct parameters, the
-    least a run measures, so the percentile does not move when a faster
-    program fits more passes into the same seconds.
+    The samples are the ``n`` distinct parameters (:func:`point_ms`), so
+    the percentile does not move when a faster program fits more passes
+    into the same seconds.
     """
     return max(50, (100 * (n - 10)) // n)
 
 
 # -- the measured loop -----------------------------------------------------
+
+#: probe runs on each side of a setup: a setup is one sample, not a pass of
+#: repeats, so its probe must not be one jittery reading
+SETUP_PROBES = 5
 
 
 def passes(points, seconds):
@@ -94,7 +104,8 @@ class Run:
 
     setup: object                  # workloads.Setup
     points: list                   # the distinct query parameters
-    setup_s: list                  # seconds of each setup
+    setup_s: list                  # wall seconds of each setup
+    setup_probe_ms: list           # host probe around each setup
     samples: list = field(default_factory=list)   # (point, untraced result)
     traced: list = field(default_factory=list)    # (point, traced result)
     first: dict = field(default_factory=dict)     # point -> first result
@@ -110,14 +121,16 @@ def measure(wl, seed, seconds, tracer=None) -> Run:
     """
     import workloads
 
-    setup_s = []
+    setup_s, setup_probe = [], []
     for _ in range(1 if tracer else wl.setup_repeats):
+        before = hostspeed.probe_ms(SETUP_PROBES)
         t0 = time.perf_counter()
         with tracer.active("setup") if tracer else nullcontext():
             s = workloads.build(wl)
         setup_s.append(time.perf_counter() - t0)
+        setup_probe.append((before + hostspeed.probe_ms(SETUP_PROBES)) / 2)
     r = Run(s, workloads.query_points(seed, wl.n_points, s.training),
-            setup_s)
+            setup_s, setup_probe)
     for p in r.points[:2]:                  # warm-up, not measured
         workloads.run_query(wl, s, p)
     for k, i in enumerate(passes(r.points, seconds)):
@@ -148,17 +161,45 @@ def measure(wl, seed, seconds, tracer=None) -> Run:
 # -- metrics ---------------------------------------------------------------
 
 
+def point_ms(samples, attr) -> list:
+    """Milliseconds at the reference host speed (``hostspeed``) of each
+    distinct parameter: the median over its repeats.
+
+    A query is deterministic, so its repeats do the same work; the median
+    drops what the probe did not cancel of the host's jitter, where a
+    minimum would pick the repeats whose probe read slow.  The spread
+    across parameters (SQP iterations, Newton steps) is kept.
+    """
+    times = defaultdict(list)
+    for i, q in samples:
+        times[i].append(
+            hostspeed.at_reference(getattr(q, attr), q.probe_ms) * 1e3)
+    return [statistics.median(times[i]) for i in sorted(times)]
+
+
+def raw_summary(r: Run) -> str:
+    """Medians of the unscaled wall times and of the probe, for the log."""
+    med = statistics.median
+    return (f"raw wall medians: setup_s {med(r.setup_s):.6g}, query_ms "
+            f"{med(q.rom_s for _, q in r.samples) * 1e3:.6g}, fom_ms "
+            f"{med(q.fom_s for _, q in r.samples) * 1e3:.6g}; probe_ms "
+            f"{med(q.probe_ms for _, q in r.samples):.6g} (reference "
+            f"{hostspeed.REFERENCE_MS})")
+
+
 def end_to_end(wl, r: Run) -> dict:
-    rom_ms = [q.rom_s * 1e3 for _, q in r.samples]
+    rom_ms = point_ms(r.samples, "rom_s")
     failed = sum(q.failure is not None for _, q in r.samples)
     exact = [q.exact_error for q in r.first.values()
              if np.isfinite(q.exact_error)] or [0.0]
     return {
-        "setup_s": statistics.median(r.setup_s),
+        "setup_s": statistics.median(
+            hostspeed.at_reference(t, p)
+            for t, p in zip(r.setup_s, r.setup_probe_ms)),
         "query_ms.p50": statistics.median(rom_ms),
         "query_ms.tail": float(np.percentile(
             rom_ms, tail_percentile(wl.n_points))),
-        "fom_ms.p50": statistics.median(q.fom_s * 1e3 for _, q in r.samples),
+        "fom_ms.p50": statistics.median(point_ms(r.samples, "fom_s")),
         "exact_error.mean": statistics.fmean(exact),
         "exact_error.max": max(exact),
         "success_frac": 1.0 - failed / len(r.samples),
@@ -225,6 +266,7 @@ PER_LAYER_UNITS = {
     "speedup.measured": "ratio",
     "rom.rel_error.mean": "ratio", "rom.rel_error.max": "ratio",
     "trace.overhead_ms": "ms", "trace.span_coverage": "ratio",
+    "host.probe_ms": "ms",
 }
 
 
@@ -314,15 +356,16 @@ def per_layer(r: Run, tracer) -> dict:
     out["fallback.line_search"] = sum(
         qt.failure == "line_search" for _, qt in r.traced) / n
 
-    plain = statistics.median(q.rom_s for _, q in r.samples)
-    out["trace.overhead_ms"] = (statistics.median(
-        qt.rom_s for _, qt in r.traced) - plain) * 1e3
+    plain = statistics.median(point_ms(r.samples, "rom_s"))
+    out["trace.overhead_ms"] = statistics.median(
+        point_ms(r.traced, "rom_s")) - plain
     out["speedup.measured"] = statistics.median(
-        q.fom_s for _, q in r.samples) / plain
+        point_ms(r.samples, "fom_s")) / plain
     errs = [q.error for q in r.first.values()
             if np.isfinite(q.error)] or [0.0]
     out["rom.rel_error.mean"] = statistics.fmean(errs)
     out["rom.rel_error.max"] = max(errs)
+    out["host.probe_ms"] = statistics.median(q.probe_ms for _, q in r.samples)
     return out
 
 
@@ -370,7 +413,8 @@ def query_rows(r: Run) -> list:
     return [{
         "traced": tag, "point": i, "a": r.points[i].a,
         "lambda": r.points[i].lam, "fom_ms": q.fom_s * 1e3,
-        "rom_ms": q.rom_s * 1e3, "sqp_iters": q.n_iter,
+        "rom_ms": q.rom_s * 1e3, "probe_ms": q.probe_ms,
+        "sqp_iters": q.n_iter,
         "newton_iters": q.newton_iters, "error": q.error,
         "exact_error": q.exact_error, "failure": q.failure,
         "warnings": list(q.warnings), "digest": q.digest,
@@ -404,7 +448,8 @@ def run(name, seed, seconds, trace):
         "workload": name, "seed": seed, "seconds": seconds, "trace": trace,
         "provenance": provenance(seed), "result": result,
         "tail_percentile": tail_percentile(wl.n_points),
-        "setup_s": r.setup_s, "problems": r.problems,
+        "setup_s": r.setup_s, "setup_probe_ms": r.setup_probe_ms,
+        "reference_probe_ms": hostspeed.REFERENCE_MS, "problems": r.problems,
         "queries": query_rows(r), "spans": tracer.spans if tracer else [],
     }
     OUT.mkdir(exist_ok=True)
@@ -415,6 +460,7 @@ def run(name, seed, seconds, trace):
     print("# provenance " + json.dumps(details["provenance"]))
     print(f"# {len(r.samples)} queries over {wl.n_points} parameters; "
           f"query_ms.tail is p{details['tail_percentile']}")
+    print("# " + raw_summary(r))
     for k, v in result["metrics"].items():
         print(f"{name:>11}  {k:<28} {v['value']:>14.6g} {v['unit']}")
     for msg in r.problems:
@@ -454,7 +500,7 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", default="all")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--seconds", type=float, default=15.0)
+    ap.add_argument("--seconds", type=float, default=24.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
     if not (ROOT / "src" / "ddrom" / "__init__.py").is_file():

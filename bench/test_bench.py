@@ -15,6 +15,7 @@ BENCH = Path(__file__).resolve().parent
 ROOT = BENCH.parent
 sys.path[:0] = [str(ROOT / "src"), str(BENCH)]
 
+import hostspeed  # noqa: E402
 import run  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
@@ -87,6 +88,26 @@ def test_query_points_are_seeded_and_avoid_training_points():
     assert all(p.in_domain for p in a)
     with pytest.raises(ValueError):
         workloads.query_points(5, 8, train + [a[3]])
+
+
+def test_point_ms_takes_each_parameters_median_at_reference_speed():
+    ref = hostspeed.REFERENCE_MS
+
+    def q(fom_s, rom_s, slow=1.0):
+        return workloads.QueryResult(fom_s=fom_s * slow, rom_s=rom_s * slow,
+                                     failure=None, probe_ms=ref * slow)
+
+    # a host twice as slow doubles the probe and the query alike
+    samples = [(1, q(0.02, 0.3)), (0, q(0.05, 0.2, slow=2.0)),
+               (1, q(0.03, 0.1, slow=2.0)), (0, q(0.04, 0.4)),
+               (0, q(0.01, 0.9)), (1, q(0.06, 0.2))]
+    assert run.point_ms(samples, "rom_s") == pytest.approx([400.0, 200.0])
+    assert run.point_ms(samples, "fom_s") == pytest.approx([40.0, 30.0])
+
+
+def test_probe_times_a_fixed_kernel():
+    assert 0.0 < hostspeed.probe_ms() and 0.0 < hostspeed.probe_ms(3)
+    assert hostspeed.at_reference(0.5, 2 * hostspeed.REFERENCE_MS) == 0.25
 
 
 def test_tail_percentile_leaves_ten_samples_beyond():

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import qmc
 
+import hostspeed
 from ddrom import burgers, driver, partition, snapshots
 from ddrom.autoencoder import TrainConfig
 from ddrom.errors import ConvergenceError
@@ -46,18 +47,18 @@ WORKLOADS = {w.name: w for w in [
     # full-row LS-ROM: subdomain residual/Jacobian path, assembly, problem
     # build and RBF initialization; setup is almost all FOM snapshots
     Workload("ls-wfpc", "lsrom", 120, 12, SqpConfig(tol=1e-4, max_iter=15),
-             n_points=64, setup_repeats=2),
+             n_points=32, setup_repeats=2),
     # NM-ROM with collocation HR: decoders, subnets and sampled-row
     # residuals; setup is dominated by autoencoder training, so it runs once
     # per process.  From the RBF guess at small ``a`` the SQP needs up to
     # ~60 iterations, so the budget is 80 rather than 15: slow convergence
     # shows as latency and sqp.iters instead of as failures.
     Workload("nm-wfpc-hr", "nmrom", 60, 8, SqpConfig(tol=1e-4, max_iter=80),
-             n_points=64, setup_repeats=1),
+             n_points=32, setup_repeats=1),
     # decomposed FOM from a zero start: the only workload where the dense
     # (n+m) = 1504 KKT solve dominates; tolerance as in acceptance criterion 1
     Workload("dd-fom", "ddfom", 60, 8, SqpConfig(tol=1e-6, max_iter=15),
-             n_points=32, setup_repeats=5),
+             n_points=32, setup_repeats=25),
 ]}
 
 
@@ -126,6 +127,7 @@ class QueryResult:
     record: driver.BenchmarkRecord | None = None
     newton_iters: int = 0
     check: str | None = None   # why an output check failed
+    probe_ms: float = hostspeed.REFERENCE_MS   # host probe around the query
 
 
 def _digest(sol, n_iter) -> str:
@@ -151,8 +153,10 @@ def run_query(wl: Workload, s: Setup, p) -> QueryResult:
     A ROM solve that raises, or that stops without meeting its tolerance,
     is a failure and keeps its time.  Output checks: the FOM reference
     converges, ROM states and latents are finite, and the decomposed FOM
-    matches monolithic Newton within ``DD_FOM_MATCH``.
+    matches monolithic Newton within ``DD_FOM_MATCH``.  The host-speed
+    probe runs before the reference and after the ROM solve.
     """
+    probe_before = hostspeed.probe_ms()
     t0 = time.perf_counter()
     fom_state, newton = burgers.solve_monolithic(s.grid, p)
     fom_s = time.perf_counter() - t0
@@ -168,7 +172,9 @@ def run_query(wl: Workload, s: Setup, p) -> QueryResult:
         else:
             rom_s = time.perf_counter() - t0
             failure = None
+    probe = (probe_before + hostspeed.probe_ms()) / 2
     out = QueryResult(fom_s=fom_s, rom_s=rom_s, failure=failure,
+                      probe_ms=probe,
                       warnings=tuple(classify(w) for w in caught),
                       newton_iters=newton.niter)
     if not newton.converged:

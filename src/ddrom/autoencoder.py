@@ -174,18 +174,6 @@ class Autoencoder:
         return self.W2h @ A
 
 
-def forward_decoder(ae: Autoencoder, xhat):
-    return ae.decode(xhat)
-
-
-def forward_encoder(ae: Autoencoder, x):
-    return ae.encode(x)
-
-
-def decoder_jacobian(ae: Autoencoder, xhat):
-    return ae.jacobian(xhat)
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Optimizer protocol knobs (Adam, plateau LR schedule, early stop)."""

@@ -29,21 +29,19 @@ from .autoencoder import TrainConfig, assemble_srpc_interface, load_net, \
     save_net
 from .burgers import Grid2D, ParameterPoint, solve_monolithic
 from .driver import (
-    RomInstance,
     attach_hr,
     benchmark_sweep,
     build_lsrom,
     build_nmrom,
-    default_n_c,
     fit_initializer,
+    instance_from_maps,
     port_latent_dims,
     solve_rom,
     train_nets,
     verify_bounds,
-    wfpc_test_matrix,
 )
 from .hyper import greedy_sample, hr_collocation, hr_gappy
-from .partition import assemble_rom_constraints, build_partition
+from .partition import build_partition
 from .pod import LinearMap, pod, port_interface_basis
 from .snapshots import generate, load, sample_grid, save
 from .sqp import SqpConfig
@@ -276,23 +274,9 @@ def _build_instance(part, snap, args):
     interior, gams, port_dims = loader(part, args.maps, args)
     prov = {"rom": args.rom, "constraint": args.constraint, "hr": args.hr,
             "n_int": interior[0].latent_dim, "n_gam": gams[0].latent_dim}
-    if args.constraint == "wfpc":
-        n_c = args.nc if args.nc is not None \
-            else default_n_c(part, gams[0].latent_dim)
-        from .partition import assemble_fom_constraints
-        A = assemble_fom_constraints(part.ports)
-        inst = RomInstance(partition=part, interior_maps=interior,
-                           interface_maps=gams, constraint_mode="wfpc",
-                           fom_constraints=A,
-                           wfpc_C=wfpc_test_matrix(n_c, A.n_rows,
-                                                   args.wfpc_seed),
-                           provenance=prov)
-    else:
-        inst = RomInstance(partition=part, interior_maps=interior,
-                           interface_maps=gams, constraint_mode="srpc",
-                           rom_constraints=assemble_rom_constraints(
-                               part.ports, port_dims),
-                           provenance=prov)
+    inst = instance_from_maps(part, interior, gams, args.constraint,
+                              port_dims, prov, n_gam=gams[0].latent_dim,
+                              n_c=args.nc, wfpc_seed=args.wfpc_seed)
     if args.hr == "none":
         return inst
     if args.hr_dir is not None:
@@ -306,7 +290,6 @@ def _build_instance(part, snap, args):
                 ops.append(hr_gappy(rows, np.ascontiguousarray(
                     mats[f"basis_{i}"])))
         inst.hr = ops
-        inst.provenance = {**prov, "hr": args.hr}
         return inst
     return attach_hr(inst, snap, args.hr, n_samples=args.hr_samples,
                      energy=args.residual_energy)

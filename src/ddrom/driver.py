@@ -179,11 +179,31 @@ def default_n_c(part, n_gam: int) -> int:
     return min(max(2 * srpc_rows, 1), n_rows)
 
 
-def _wfpc_matrix_for(part, n_gam, n_c, seed):
-    A = assemble_fom_constraints(part.ports)
-    if n_c is None:
-        n_c = default_n_c(part, n_gam)
-    return A, wfpc_test_matrix(n_c, A.n_rows, seed)
+def instance_from_maps(partition: Partition, interior, gams,
+                       constraint: str, port_dims, provenance: dict, *,
+                       n_gam: int, n_c: int | None = None,
+                       wfpc_seed: int = 0) -> RomInstance:
+    """Couple per-subdomain maps into a ROM instance.
+
+    ``wfpc`` ties the decoded interface traces through the FOM port
+    constraints compressed by a seeded C with ``n_c`` rows (default from
+    ``n_gam``); any other mode is ``srpc``, with ROM port constraints on
+    latent port blocks of sizes ``port_dims``.
+    """
+    if constraint == "wfpc":
+        A = assemble_fom_constraints(partition.ports)
+        if n_c is None:
+            n_c = default_n_c(partition, n_gam)
+        return RomInstance(partition=partition, interior_maps=interior,
+                           interface_maps=gams, constraint_mode="wfpc",
+                           fom_constraints=A,
+                           wfpc_C=wfpc_test_matrix(n_c, A.n_rows, wfpc_seed),
+                           provenance=provenance)
+    return RomInstance(partition=partition, interior_maps=interior,
+                       interface_maps=gams, constraint_mode="srpc",
+                       rom_constraints=assemble_rom_constraints(
+                           partition.ports, port_dims),
+                       provenance=provenance)
 
 
 def build_lsrom(partition: Partition, snap, n_int: int, n_gam: int,
@@ -197,25 +217,21 @@ def build_lsrom(partition: Partition, snap, n_int: int, n_gam: int,
         for i in range(len(partition.subdomains))]
     prov = {"rom": "lsrom", "constraint": constraint, "hr": "none",
             "n_int": n_int, "n_gam": n_gam}
+    dims = None
     if constraint == "wfpc":
-        A, C = _wfpc_matrix_for(partition, n_gam, n_c, wfpc_seed)
         gams = [LinearMap(pod(snap.interface[i],
                               fixed_n=min(n_gam, *snap.interface[i].shape)
                               ).Phi)
                 for i in range(len(partition.subdomains))]
-        return RomInstance(partition=partition, interior_maps=interior,
-                           interface_maps=gams, constraint_mode="wfpc",
-                           fom_constraints=A, wfpc_C=C, provenance=prov)
-    dims = port_latent_dims(partition.ports, n_gam)
-    dims = {j: min(d, snap.port[j].shape[1]) for j, d in dims.items()}
-    bases = {j: pod(snap.port[j], fixed_n=dims[j]) for j in dims}
-    gams = [LinearMap(port_interface_basis(partition.ports, bases, i))
-            for i in range(len(partition.subdomains))]
-    return RomInstance(partition=partition, interior_maps=interior,
-                       interface_maps=gams, constraint_mode="srpc",
-                       rom_constraints=assemble_rom_constraints(
-                           partition.ports, dims),
-                       provenance=prov)
+    else:
+        dims = port_latent_dims(partition.ports, n_gam)
+        dims = {j: min(d, snap.port[j].shape[1]) for j, d in dims.items()}
+        bases = {j: pod(snap.port[j], fixed_n=dims[j]) for j in dims}
+        gams = [LinearMap(port_interface_basis(partition.ports, bases, i))
+                for i in range(len(partition.subdomains))]
+    return instance_from_maps(partition, interior, gams, constraint, dims,
+                              prov, n_gam=n_gam, n_c=n_c,
+                              wfpc_seed=wfpc_seed)
 
 
 def train_nets(partition: Partition, snap, n_int: int, n_gam: int,
@@ -263,21 +279,16 @@ def build_nmrom(partition: Partition, snap, n_int: int, n_gam: int,
                       port_shift=port_shift, train_cfg=train_cfg)
     prov = {"rom": "nmrom", "constraint": constraint, "hr": "none",
             "n_int": n_int, "n_gam": n_gam, "seed": train_cfg.seed}
+    dims = None
     if constraint == "wfpc":
-        A, C = _wfpc_matrix_for(partition, n_gam, n_c, wfpc_seed)
-        return RomInstance(partition=partition,
-                           interior_maps=nets["interior"],
-                           interface_maps=nets["interface"],
-                           constraint_mode="wfpc",
-                           fom_constraints=A, wfpc_C=C, provenance=prov)
-    gams = [assemble_srpc_interface(partition.ports, nets["port"], i)
-            for i in range(len(partition.subdomains))]
-    dims = {j: net.latent_dim for j, net in nets["port"].items()}
-    return RomInstance(partition=partition, interior_maps=nets["interior"],
-                       interface_maps=gams, constraint_mode="srpc",
-                       rom_constraints=assemble_rom_constraints(
-                           partition.ports, dims),
-                       provenance=prov)
+        gams = nets["interface"]
+    else:
+        gams = [assemble_srpc_interface(partition.ports, nets["port"], i)
+                for i in range(len(partition.subdomains))]
+        dims = {j: net.latent_dim for j, net in nets["port"].items()}
+    return instance_from_maps(partition, nets["interior"], gams, constraint,
+                              dims, prov, n_gam=n_gam, n_c=n_c,
+                              wfpc_seed=wfpc_seed)
 
 
 def attach_hr(instance: RomInstance, snap, mode: str,
@@ -296,23 +307,9 @@ def attach_hr(instance: RomInstance, snap, mode: str,
         rows = greedy_sample(basis, ns)
         ops.append(hr_collocation(rows, sub.n_res) if mode == "collocation"
                    else hr_gappy(rows, basis))
-    return replace_instance(instance, hr=ops,
-                            provenance={**instance.provenance, "hr": mode,
-                                        "hr_samples": n_samples})
-
-
-def replace_instance(instance: RomInstance, **kw) -> RomInstance:
-    fields = dict(partition=instance.partition,
-                  interior_maps=instance.interior_maps,
-                  interface_maps=instance.interface_maps,
-                  constraint_mode=instance.constraint_mode,
-                  fom_constraints=instance.fom_constraints,
-                  wfpc_C=instance.wfpc_C,
-                  rom_constraints=instance.rom_constraints,
-                  hr=instance.hr, initializer=instance.initializer,
-                  provenance=instance.provenance)
-    fields.update(kw)
-    return RomInstance(**fields)
+    return replace(instance, hr=ops,
+                   provenance={**instance.provenance, "hr": mode,
+                               "hr_samples": n_samples})
 
 
 def fit_initializer(instance: RomInstance, snap) -> RomInstance:
@@ -327,7 +324,7 @@ def fit_initializer(instance: RomInstance, snap) -> RomInstance:
                 snap.interface[i][:, k]))
         rows.append(np.concatenate(parts))
     init = RbfInitializer.fit(snap.params, np.vstack(rows))
-    return replace_instance(instance, initializer=init)
+    return replace(instance, initializer=init)
 
 
 # -- SQP problem assembly ------------------------------------------------
@@ -348,13 +345,23 @@ def _memo_map(m):
 
 
 def _restrict_map(m, rows):
+    """``m`` restricted to output ``rows``: ``m`` itself when the rows
+    cover every output, a zero-output linear map when there are none."""
+    if rows.size == m.ambient_dim:
+        return m
+    if rows.size == 0:
+        return LinearMap(np.zeros((0, m.latent_dim)))
     if hasattr(m, "restrict_outputs"):
         return m.restrict_outputs(rows)
     return extract_subnet(m, rows)
 
 
 def build_problem(instance: RomInstance, ops: FomOperators) -> SqpProblem:
-    """Instantiate the block-separable SQP problem at one parameter."""
+    """Instantiate the block-separable SQP problem at one parameter.
+
+    Every block evaluates the residual rows its HR operator samples (all
+    rows without HR) from only the decoder outputs those rows reference.
+    """
     part = instance.partition
     blocks = []
     for i, sub in enumerate(part.subdomains):
@@ -362,74 +369,46 @@ def build_problem(instance: RomInstance, ops: FomOperators) -> SqpProblem:
         gam_map = instance.interface_maps[i]
         hr = (instance.hr[i] if instance.hr is not None
               else hr_none(sub.n_res))
-        gam_full = _memo_map(gam_map)
+        rows = hr.apply_B_rows()
+        io, gio = hr_rows_for_subdomain(part, i, rows)
+        restricted = RestrictedResidual(
+            ops, sub.res_rows[rows],
+            np.concatenate([sub.interior_cols[io], sub.interface_cols[gio]]))
+        sub_int = _restrict_map(int_map, io)
 
         if instance.constraint_mode == "wfpc":
+            # the constraint needs every interface trace entry, so the
+            # residual reads its rows off the same memoised full decode
+            gam_full = _memo_map(gam_map)
             CA = instance.wfpc_C @ instance.fom_constraints.blocks[i]\
                 .toarray()
 
             def constraint(xg, CA=CA, gam_full=gam_full):
                 g, J = gam_full(xg)
                 return CA @ g, CA @ J
+
+            def decode_gam(xg, gam_full=gam_full, gio=gio):
+                g, J = gam_full(xg)
+                return g[gio], J[gio]
         else:
             Ahat = instance.rom_constraints.blocks[i].toarray()
+            sub_gam = _restrict_map(gam_map, gio)
 
             def constraint(xg, Ahat=Ahat):
                 return Ahat @ xg, Ahat
 
-        if hr.mode == "none":
-            ev = part.evaluator(ops, i)
+            def decode_gam(xg, sub_gam=sub_gam):
+                return sub_gam.decode(xg), np.asarray(sub_gam.jacobian(xg))
 
-            def residual(xi, xg, ev=ev, int_map=int_map,
-                         gam_full=gam_full):
-                x_int = int_map.decode(xi)
-                x_gam, J_gam_map = gam_full(xg)
-                r = ev.residual(x_int, x_gam)
-                Ji, Jg = ev.jacobians(x_int, x_gam)
-                return (r, Ji @ np.asarray(int_map.jacobian(xi)),
-                        Jg @ J_gam_map)
-        else:
-            rows = hr.apply_B_rows()
-            io, gio = hr_rows_for_subdomain(part, i, rows)
-            cols = np.concatenate([sub.interior_cols[io],
-                                   sub.interface_cols[gio]])
-            restricted = RestrictedResidual(ops, sub.res_rows[rows], cols)
-            sub_int = _restrict_map(int_map, io) if io.size else None
-            # wfpc keeps the full interface decoder (its constraint needs
-            # every trace entry anyway); srpc may subnet it
-            sub_gam = (_restrict_map(gam_map, gio)
-                       if instance.constraint_mode == "srpc" and gio.size
-                       else None)
-
-            def residual(xi, xg, hr=hr, restricted=restricted,
-                         sub_int=sub_int, sub_gam=sub_gam,
-                         gam_full=gam_full, n_io=io.size, n_gio=gio.size,
-                         gio=gio, n_int=int_map.latent_dim,
-                         n_gam=gam_map.latent_dim):
-                if sub_int is not None:
-                    v_int = sub_int.decode(xi)
-                else:
-                    v_int = np.zeros(0)
-                if sub_gam is not None:
-                    v_gam = sub_gam.decode(xg)
-                    J_gam_rows = np.asarray(sub_gam.jacobian(xg))
-                elif n_gio:
-                    g, J = gam_full(xg)
-                    v_gam, J_gam_rows = g[gio], J[gio]
-                else:
-                    v_gam = np.zeros(0)
-                    J_gam_rows = np.zeros((0, n_gam))
-                r_s = restricted.residual(np.concatenate([v_int, v_gam]))
-                Jd = restricted.jacobian(
-                    np.concatenate([v_int, v_gam])).toarray()
-                if sub_int is not None:
-                    J_int = Jd[:, :n_io] @ np.asarray(sub_int.jacobian(xi))
-                else:
-                    J_int = np.zeros((Jd.shape[0], n_int))
-                J_gam = Jd[:, n_io:] @ J_gam_rows
-                return (hr.apply_sampled(r_s),
-                        hr.apply_sampled_matrix(J_int),
-                        hr.apply_sampled_matrix(J_gam))
+        def residual(xi, xg, hr=hr, restricted=restricted, sub_int=sub_int,
+                     decode_gam=decode_gam, n_io=io.size):
+            v_gam, J_gam = decode_gam(xg)
+            v = np.concatenate([sub_int.decode(xi), v_gam])
+            J = restricted.jacobian(v)
+            return (hr.apply_sampled(restricted.residual(v)),
+                    hr.apply_sampled_matrix(
+                        J[:, :n_io] @ np.asarray(sub_int.jacobian(xi))),
+                    hr.apply_sampled_matrix(J[:, n_io:] @ J_gam))
 
         blocks.append(SqpBlock(int_map.latent_dim, gam_map.latent_dim,
                                residual, constraint))
@@ -663,27 +642,21 @@ def verify_bounds(instance: RomInstance, p: ParameterPoint,
     if solution is None:
         solution, _ = solve_rom(instance, p, cfg, fom_state=fom_state)
     ops = assemble(part.grid, p)
+    subs = part.subdomains
     hrs = (instance.hr if instance.hr is not None
-           else [hr_none(s.n_res) for s in part.subdomains])
-    evs = [part.evaluator(ops, i) for i in range(len(part.subdomains))]
-    sizes = [(s.n_interior, s.n_interface) for s in part.subdomains]
-
-    def split_ambient(w):
-        out, off = [], 0
-        for ni, ng in sizes:
-            out.append((w[off:off + ni], w[off + ni:off + ni + ng]))
-            off += ni + ng
-        return out
+           else [hr_none(sub.n_res) for sub in subs])
+    rrs = [RestrictedResidual(ops, sub.res_rows, np.concatenate(
+        [sub.interior_cols, sub.interface_cols])) for sub in subs]
+    ends = np.cumsum([sub.n_interior + sub.n_interface for sub in subs])
 
     def weighted_residual(w):
         return np.concatenate([
-            hr.apply_B(ev.residual(xi, xg))
-            for hr, ev, (xi, xg) in zip(hrs, evs, split_ambient(w))])
+            hr.apply_B(rr.residual(wi))
+            for hr, rr, wi in zip(hrs, rrs, np.split(w, ends[:-1]))])
 
     def raw_residual(w):
         return np.concatenate([
-            ev.residual(xi, xg)
-            for ev, (xi, xg) in zip(evs, split_ambient(w))])
+            rr.residual(wi) for rr, wi in zip(rrs, np.split(w, ends[:-1]))])
 
     w_star = np.concatenate([np.concatenate(b) for b in solution.states])
     rng = np.random.default_rng(seed)

@@ -2,7 +2,7 @@
 
 Three weighting modes for a subdomain residual of length ``n_ambient``:
 
-* ``none``         -- B = I, every row evaluated;
+* ``none``         -- B = I: collocation over every row;
 * ``collocation``  -- B = Z, only sampled rows evaluated;
 * ``gappy``        -- B = pinv(Z @ Phi_r) @ Z, sampled rows recombined
                       through a residual POD basis.
@@ -72,36 +72,18 @@ class HrOperator:
 
     @property
     def out_dim(self) -> int:
-        if self.mode == "none":
-            return self.n_ambient
-        if self.mode == "collocation":
-            return self.rows.size
-        return self.basis.shape[1]
+        if self.mode == "gappy":
+            return self.basis.shape[1]
+        return self.rows.size
 
     def apply_B(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
         if v.shape[0] != self.n_ambient:
             raise ValueError("residual vector has wrong length")
-        if self.mode == "none":
-            return v
-        if self.mode == "collocation":
-            return v[self.rows]
-        return self.weights @ v[self.rows]
-
-    def apply_B_matrix(self, M):
-        """Apply B to a matrix (rows = residual entries), dense result."""
-        if self.mode == "none":
-            return M.toarray() if sp.issparse(M) else np.asarray(M)
-        sampled = M[self.rows]
-        sampled = sampled.toarray() if sp.issparse(sampled) else sampled
-        if self.mode == "collocation":
-            return sampled
-        return self.weights @ sampled
+        return self.apply_sampled(v[self.rows])
 
     def apply_B_rows(self) -> np.ndarray:
         """Which residual rows the weighted evaluation actually needs."""
-        if self.mode == "none":
-            return np.arange(self.n_ambient, dtype=np.int64)
         return self.rows
 
     def apply_sampled(self, v_sampled: np.ndarray) -> np.ndarray:
@@ -113,19 +95,15 @@ class HrOperator:
     def apply_sampled_matrix(self, M):
         """Same as :meth:`apply_sampled` for row-subset Jacobian blocks."""
         M = M.toarray() if sp.issparse(M) else np.asarray(M)
-        if self.mode == "gappy":
-            return self.weights @ M
-        return M
+        return self.apply_sampled(M)
 
     def matrix(self) -> np.ndarray:
         """Dense B, for small instances and tests."""
         B = np.zeros((self.out_dim, self.n_ambient))
-        if self.mode == "none":
-            np.fill_diagonal(B, 1.0)
-        elif self.mode == "collocation":
-            B[np.arange(self.rows.size), self.rows] = 1.0
-        else:
+        if self.mode == "gappy":
             B[:, self.rows] = self.weights
+        else:
+            B[np.arange(self.rows.size), self.rows] = 1.0
         return B
 
 
@@ -235,9 +213,7 @@ def hr_rows_for_subdomain(partition, i: int, sample_rows):
     if sample_rows.size and (sample_rows.min() < 0
                              or sample_rows.max() >= sub.n_res):
         raise ValueError("sample rows out of range for subdomain")
-    cols = partition.referenced_cols(sub.res_rows[sample_rows])
-    interior_out = np.searchsorted(
-        sub.interior_cols, np.intersect1d(cols, sub.interior_cols))
-    interface_out = np.searchsorted(
-        sub.interface_cols, np.intersect1d(cols, sub.interface_cols))
-    return interior_out, interface_out
+    needed = np.zeros(partition.pattern.shape[1], dtype=bool)
+    needed[partition.referenced_cols(sub.res_rows[sample_rows])] = True
+    return (np.flatnonzero(needed[sub.interior_cols]),
+            np.flatnonzero(needed[sub.interface_cols]))

@@ -15,7 +15,7 @@ feeds it the 5-point-stencil pattern and the grid-block row ownership.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -213,41 +213,13 @@ class Partition:
 
     def referenced_cols(self, rows) -> np.ndarray:
         """Sorted global columns structurally referenced by these rows."""
-        rows = np.asarray(rows)
-        cols = np.unique(np.concatenate(
-            [self.pattern.indices[self.pattern.indptr[r]:
-                                  self.pattern.indptr[r + 1]] for r in rows]))
-        return cols.astype(np.int64)
-
-    def evaluator(self, ops: FomOperators, i: int) -> "SubdomainEvaluator":
-        """Residual/Jacobian evaluator for subdomain ``i`` under ``ops``."""
-        return SubdomainEvaluator(ops, self.subdomains[i])
-
-    def subdomain_residual(self, ops, i, x_int, x_gam):
-        return self.evaluator(ops, i).residual(x_int, x_gam)
-
-    def subdomain_jacobians(self, ops, i, x_int, x_gam):
-        return self.evaluator(ops, i).jacobians(x_int, x_gam)
+        cols = self.pattern[np.asarray(rows)].indices
+        return np.unique(cols).astype(np.int64)
 
     def restrict(self, i: int, x: np.ndarray):
         """Restrict a global state to ``(x_i_interior, x_i_interface)``."""
         sub = self.subdomains[i]
         return x[sub.interior_cols], x[sub.interface_cols]
-
-    def summary(self) -> dict:
-        out = {
-            "nx": self.grid.nx, "ny": self.grid.ny,
-            "nsub_x": self.nsub_x, "nsub_y": self.nsub_y,
-            "n_ports": self.ports.n_ports,
-        }
-        for s in self.subdomains:
-            out[f"sub{s.index}.n_res"] = s.n_res
-            out[f"sub{s.index}.n_interior"] = s.n_interior
-            out[f"sub{s.index}.n_interface"] = s.n_interface
-        for p in self.ports.ports:
-            out[f"port{p.index}.size"] = p.size
-            out[f"port{p.index}.members"] = ",".join(map(str, p.members))
-        return out
 
     def report(self) -> str:
         lines = [f"partition {self.nsub_x}x{self.nsub_y} on grid "
@@ -462,36 +434,6 @@ class RestrictedResidual:
         order[self._u_pos] = np.arange(self._u_pos.size)
         order[self._v_pos] = self._u_pos.size + np.arange(self._v_pos.size)
         return stacked[order, :]
-
-
-class SubdomainEvaluator:
-    """Subdomain residual ``r_i(x_i_interior, x_i_interface)`` and Jacobians."""
-
-    def __init__(self, ops: FomOperators, sub: Subdomain):
-        self.sub = sub
-        self.n_interior = sub.n_interior
-        self.n_interface = sub.n_interface
-        cols = np.concatenate([sub.interior_cols, sub.interface_cols])
-        self._rr = RestrictedResidual(ops, sub.res_rows, cols)
-
-    @property
-    def rows_evaluated(self) -> int:
-        return self._rr.rows_evaluated
-
-    def _pack(self, x_int, x_gam):
-        x_int = np.asarray(x_int, dtype=float)
-        x_gam = np.asarray(x_gam, dtype=float)
-        if x_int.shape != (self.n_interior,) or x_gam.shape != (self.n_interface,):
-            raise ValueError("interior/interface vectors have wrong lengths")
-        return np.concatenate([x_int, x_gam])
-
-    def residual(self, x_int, x_gam) -> np.ndarray:
-        return self._rr.residual(self._pack(x_int, x_gam))
-
-    def jacobians(self, x_int, x_gam):
-        J = self._rr.jacobian(self._pack(x_int, x_gam))
-        return (J[:, :self.n_interior].tocsr(),
-                J[:, self.n_interior:].tocsr())
 
 
 def build_partition(grid: Grid2D, nsub_x: int, nsub_y: int) -> Partition:

@@ -17,7 +17,6 @@ from ddrom.autoencoder import (
     TrainConfig,
     _init_autoencoder,
     build_mask,
-    decoder_jacobian,
 )
 from ddrom.burgers import (
     Grid2D,
@@ -153,7 +152,7 @@ def test_decoder_jacobian_matches_finite_differences():
                           seed=1000 + k,
                           activation="swish" if k % 2 else "sigmoid")
         xh = rng.normal(size=net.latent_dim)
-        J = decoder_jacobian(net, xh)
+        J = net.jacobian(xh)
         fd = np.empty_like(J)
         h = 1e-6
         for d in range(net.latent_dim):

@@ -15,9 +15,6 @@ from ddrom.autoencoder import (
     _init_autoencoder,
     assemble_srpc_interface,
     build_mask,
-    decoder_jacobian,
-    forward_decoder,
-    forward_encoder,
     train,
 )
 from ddrom.burgers import Grid2D
@@ -117,27 +114,27 @@ def test_zero_weights_decode_to_shift():
     ae = random_net(12, 2, 2, 3, seed=0)
     ae.W2g.data[:] = 0.0
     ae.b1g[:] = 0.0
-    out = forward_decoder(ae, np.ones(3))
+    out = ae.decode(np.ones(3))
     assert np.array_equal(out, ae.norm.shift)
 
 
 def test_encoder_decoder_shapes_and_validation():
     ae = random_net(15, 2, 3, 4, seed=1)
     x = np.random.default_rng(2).normal(size=15)
-    xh = forward_encoder(ae, x)
+    xh = ae.encode(x)
     assert xh.shape == (4,)
-    assert forward_decoder(ae, xh).shape == (15,)
+    assert ae.decode(xh).shape == (15,)
     with pytest.raises(ValueError):
-        forward_decoder(ae, np.zeros(5))
+        ae.decode(np.zeros(5))
     with pytest.raises(ValueError):
-        forward_encoder(ae, np.zeros(14))
+        ae.encode(np.zeros(14))
 
 
 @pytest.mark.parametrize("tag", ["swish", "sigmoid"])
 def test_decoder_jacobian_matches_fd(tag):
     ae = random_net(30, 2, 2, 3, seed=3, activation=tag)
     xh = np.random.default_rng(4).normal(size=3)
-    J = decoder_jacobian(ae, xh)
+    J = ae.jacobian(xh)
     fd = np.empty_like(J)
     h = 1e-6
     for d in range(3):

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from ddrom.autoencoder import TrainConfig
-from ddrom.burgers import Grid2D, ParameterPoint, exact_state, \
+from ddrom.burgers import Grid2D, ParameterPoint, assemble, exact_state, \
     solve_monolithic
+from ddrom.burgers import jacobian as fom_jacobian
+from ddrom.burgers import residual as fom_residual
 from ddrom.driver import (
     RbfInitializer,
     RomInstance,
@@ -18,6 +20,7 @@ from ddrom.driver import (
     build_dd_fom,
     build_lsrom,
     build_nmrom,
+    build_problem,
     fit_initializer,
     init_guess,
     inverse_lipschitz_estimate,
@@ -29,6 +32,7 @@ from ddrom.driver import (
     verify_bounds,
     wfpc_test_matrix,
 )
+from ddrom.hyper import hr_rows_for_subdomain
 from ddrom.partition import build_partition
 from ddrom.pod import LinearMap
 from ddrom.snapshots import generate, sample_grid
@@ -309,8 +313,6 @@ def test_multipliers_zero_at_zero_residual():
     p = ParameterPoint(300.0, 10.0)
     part = build_partition(grid, 2, 1)
     inst = build_dd_fom(part)
-    from ddrom.burgers import assemble
-    from ddrom.driver import build_problem
     x_star, _ = solve_monolithic(grid, p, tol=1e-12)
     x0 = np.concatenate(
         [np.concatenate(part.restrict(i, x_star))
@@ -347,6 +349,109 @@ def test_hr_rejects_unknown_mode(desk, ls_wfpc):
     _, _, snap = desk
     with pytest.raises(ValueError, match="mode"):
         attach_hr(ls_wfpc, snap, "deim")
+
+
+# ------------------------------------------------- one subdomain residual path
+
+@pytest.fixture(scope="module")
+def nm_wfpc(desk):
+    _, part, snap = desk
+    return build_nmrom(part, snap, n_int=6, n_gam=4, constraint="wfpc",
+                       n_c=4, train_cfg=TrainConfig(epochs=20, seed=5))
+
+
+def instance_named(name, request):
+    if name == "dd-fom":
+        return build_dd_fom(request.getfixturevalue("desk")[1])
+    return request.getfixturevalue(name.replace("-", "_"))
+
+
+def perturbed_latent(inst, snap, k):
+    """Every map's encoding of training snapshot ``k``, moved by a seeded
+    perturbation so the residual is far from zero (no cancellation)."""
+    x = np.concatenate([
+        np.concatenate([inst.interior_maps[i].encode(snap.interior[i][:, k]),
+                        inst.interface_maps[i].encode(
+                            snap.interface[i][:, k])])
+        for i in range(inst.partition.n_sub)])
+    rng = np.random.default_rng(k)
+    return x + 0.1 * np.abs(x).max() * rng.standard_normal(x.size)
+
+
+def evaluate_blocks(inst, ops, x):
+    prob = build_problem(inst, ops)
+    return [blk.residual(xi, xg)
+            for blk, (xi, xg) in zip(prob.blocks, prob.split(x))]
+
+
+def assert_rel_close(got, ref, rel=1e-12):
+    assert np.linalg.norm(got - ref) <= rel * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("name", ["ls-wfpc", "ls-srpc", "dd-fom",
+                                  "nm-wfpc"])
+def test_full_row_blocks_match_global_jacobian(desk, name, request):
+    grid, part, snap = desk
+    inst = instance_named(name, request)
+    p = snap.params[7]
+    ops = assemble(grid, p)
+    x = perturbed_latent(inst, snap, 7)
+    got = evaluate_blocks(inst, ops, x)
+    for i, (sub, (xi, xg)) in enumerate(zip(part.subdomains,
+                                            inst.split_latent(x))):
+        int_map, gam_map = inst.interior_maps[i], inst.interface_maps[i]
+        state = np.zeros(grid.ndof)
+        state[sub.interior_cols] = int_map.decode(xi)
+        state[sub.interface_cols] = gam_map.decode(xg)
+        J = fom_jacobian(ops, state)[sub.res_rows]
+        r, R_int, R_gam = got[i]
+        assert_rel_close(r, fom_residual(ops, state)[sub.res_rows])
+        assert_rel_close(R_int, J[:, sub.interior_cols]
+                         @ np.asarray(int_map.jacobian(xi)))
+        assert_rel_close(R_gam, J[:, sub.interface_cols]
+                         @ np.asarray(gam_map.jacobian(xg)))
+
+
+@pytest.mark.parametrize("name,mode", [("ls-wfpc", "collocation"),
+                                       ("ls-wfpc", "gappy"),
+                                       ("ls-srpc", "collocation"),
+                                       ("nm-wfpc", "collocation")])
+def test_hr_blocks_weight_full_row_blocks(desk, name, mode, request):
+    grid, part, snap = desk
+    inst = instance_named(name, request)
+    h = attach_hr(inst, snap, mode, n_samples=30)
+    assert all(hr.rows.size < sub.n_res
+               for hr, sub in zip(h.hr, part.subdomains))
+    ops = assemble(grid, snap.params[7])
+    x = perturbed_latent(inst, snap, 7)
+    full = evaluate_blocks(inst, ops, x)
+    sampled = evaluate_blocks(h, ops, x)
+    for hr, ref, got in zip(h.hr, full, sampled):
+        for g, f in zip(got, ref):
+            assert_rel_close(g, hr.matrix() @ f)
+
+
+def old_referenced_cols(pattern, rows):
+    return np.unique(np.concatenate(
+        [pattern.indices[pattern.indptr[r]:pattern.indptr[r + 1]]
+         for r in rows])).astype(np.int64)
+
+
+def test_row_to_output_maps_match_loop_reference(desk):
+    _, part, _ = desk
+    rng = np.random.default_rng(31)
+    for i, sub in enumerate(part.subdomains):
+        for size in [1, 7, sub.n_res // 2, sub.n_res]:
+            z = np.sort(rng.choice(sub.n_res, size=size, replace=False))
+            cols = part.referenced_cols(sub.res_rows[z])
+            ref = old_referenced_cols(part.pattern, sub.res_rows[z])
+            assert cols.dtype == np.int64
+            np.testing.assert_array_equal(cols, ref)
+            io, gio = hr_rows_for_subdomain(part, i, z)
+            np.testing.assert_array_equal(io, np.searchsorted(
+                sub.interior_cols, np.intersect1d(ref, sub.interior_cols)))
+            np.testing.assert_array_equal(gio, np.searchsorted(
+                sub.interface_cols, np.intersect1d(ref, sub.interface_cols)))
 
 
 # ------------------------------------------------------------------ NM-ROM

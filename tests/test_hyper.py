@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from ddrom.autoencoder import build_mask, _init_autoencoder
 from ddrom.burgers import Grid2D, assemble, exact_state
@@ -162,13 +163,17 @@ def test_row_set_validation():
         hr_none(4).apply_B(np.zeros(3))
 
 
-def test_apply_B_matrix_variants():
+def test_apply_sampled_matrix_variants():
     rng = np.random.default_rng(8)
     M = rng.normal(size=(9, 4))
     Phi, _ = np.linalg.qr(rng.normal(size=(9, 2)))
     for hr in [hr_none(9), hr_collocation([0, 2, 5, 8], 9),
                hr_gappy(np.array([0, 2, 5, 8]), Phi)]:
-        assert np.allclose(hr.apply_B_matrix(M), hr.matrix() @ M, atol=1e-12)
+        sampled = M[hr.apply_B_rows()]
+        assert np.allclose(hr.apply_sampled_matrix(sampled), hr.matrix() @ M,
+                           atol=1e-12)
+        assert np.allclose(hr.apply_sampled_matrix(sp.csr_matrix(sampled)),
+                           hr.matrix() @ M, atol=1e-12)
 
 
 # -- subnets -------------------------------------------------------------
@@ -278,8 +283,9 @@ def test_collocation_path_evaluates_only_sampled_rows(small_partition):
     z = np.array([0, 5, 11, 17, 23])
     hr = hr_collocation(z, sub.n_res)
 
-    full = part.subdomain_residual(ops, i, state[sub.interior_cols],
-                                   state[sub.interface_cols])
+    all_cols = np.concatenate([sub.interior_cols, sub.interface_cols])
+    full = RestrictedResidual(ops, sub.res_rows, all_cols).residual(
+        state[all_cols])
     io, gio = hr_rows_for_subdomain(part, i, z)
     cols = np.concatenate([sub.interior_cols[io], sub.interface_cols[gio]])
     restricted = RestrictedResidual(ops, sub.res_rows[z], cols)

@@ -222,6 +222,12 @@ def test_rom_constraints_reject_bad_latent_dims():
 
 # ------------------------------------------------------- subdomain evaluation
 
+def subdomain_residual(ops, sub):
+    """Full-row residual of ``sub`` on its (interior, interface) columns."""
+    return RestrictedResidual(ops, sub.res_rows, np.concatenate(
+        [sub.interior_cols, sub.interface_cols]))
+
+
 def test_subdomain_residual_reassembles_global():
     g = Grid2D(nx=10, ny=4)
     p = ParameterPoint(2500.0, 18.0)
@@ -233,8 +239,8 @@ def test_subdomain_residual_reassembles_global():
     rebuilt = np.zeros(g.ndof)
     for sub in part.subdomains:
         x_int, x_gam = part.restrict(sub.index, x)
-        rebuilt[sub.res_rows] = part.subdomain_residual(
-            ops, sub.index, x_int, x_gam)
+        rebuilt[sub.res_rows] = subdomain_residual(ops, sub).residual(
+            np.concatenate([x_int, x_gam]))
     np.testing.assert_allclose(rebuilt, r_global, rtol=1e-13, atol=1e-13)
 
 
@@ -246,7 +252,8 @@ def test_subdomain_residual_zero_at_monolithic_solution():
     x, _ = solve_monolithic(g, p, tol=1e-11)
     for sub in part.subdomains:
         x_int, x_gam = part.restrict(sub.index, x)
-        r = part.subdomain_residual(ops, sub.index, x_int, x_gam)
+        r = subdomain_residual(ops, sub).residual(
+            np.concatenate([x_int, x_gam]))
         assert np.linalg.norm(r) <= 1e-10
 
 
@@ -256,20 +263,27 @@ def test_subdomain_jacobians_match_finite_differences():
     part = build_partition(g, 2, 1)
     ops = assemble(g, p)
     rng = np.random.default_rng(2)
-    ev = part.evaluator(ops, 0)
-    x_int = rng.normal(size=ev.n_interior)
-    x_gam = rng.normal(size=ev.n_interface)
-    J_int, J_gam = ev.jacobians(x_int, x_gam)
+    sub = part.subdomains[0]
+    rr = subdomain_residual(ops, sub)
+    n_int = sub.n_interior
+
+    def res(x_int, x_gam):
+        return rr.residual(np.concatenate([x_int, x_gam]))
+
+    x_int = rng.normal(size=n_int)
+    x_gam = rng.normal(size=sub.n_interface)
+    J = rr.jacobian(np.concatenate([x_int, x_gam]))
+    J_int, J_gam = J[:, :n_int], J[:, n_int:]
     eps = 1e-7
     for _ in range(3):
-        d = rng.normal(size=ev.n_interior)
-        fd = (ev.residual(x_int + eps * d, x_gam)
-              - ev.residual(x_int - eps * d, x_gam)) / (2 * eps)
+        d = rng.normal(size=n_int)
+        fd = (res(x_int + eps * d, x_gam)
+              - res(x_int - eps * d, x_gam)) / (2 * eps)
         jv = J_int @ d
         assert np.linalg.norm(fd - jv) <= 1e-6 * max(1, np.linalg.norm(jv))
-        dg = rng.normal(size=ev.n_interface)
-        fdg = (ev.residual(x_int, x_gam + eps * dg)
-               - ev.residual(x_int, x_gam - eps * dg)) / (2 * eps)
+        dg = rng.normal(size=sub.n_interface)
+        fdg = (res(x_int, x_gam + eps * dg)
+               - res(x_int, x_gam - eps * dg)) / (2 * eps)
         jvg = J_gam @ dg
         assert np.linalg.norm(fdg - jvg) <= 1e-6 * max(1, np.linalg.norm(jvg))
 

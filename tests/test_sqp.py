@@ -6,7 +6,8 @@ import pytest
 from ddrom.burgers import Grid2D, ParameterPoint, assemble, exact_state, \
     solve_monolithic
 from ddrom.errors import ConvergenceError
-from ddrom.partition import assemble_fom_constraints, build_partition
+from ddrom.partition import RestrictedResidual, assemble_fom_constraints, \
+    build_partition
 from ddrom.sqp import (
     SqpBlock,
     SqpConfig,
@@ -355,10 +356,14 @@ def dd_fom():
         Ei = A.blocks[i].toarray()
         Ei_sp = A.blocks[i]
 
-        def residual(xi, xg, i=i):
-            r = part.subdomain_residual(ops, i, xi, xg)
-            Ji, Jg = part.subdomain_jacobians(ops, i, xi, xg)
-            return r, Ji.toarray(), Jg.toarray()
+        rr = RestrictedResidual(ops, sub.res_rows, np.concatenate(
+            [sub.interior_cols, sub.interface_cols]))
+
+        def residual(xi, xg, rr=rr, n_int=sub.n_interior):
+            x = np.concatenate([xi, xg])
+            J = rr.jacobian(x)
+            return (rr.residual(x), J[:, :n_int].toarray(),
+                    J[:, n_int:].toarray())
 
         def constraint(xg, Ei_sp=Ei_sp, Ei=Ei):
             return Ei_sp @ xg, Ei

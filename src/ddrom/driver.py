@@ -105,6 +105,9 @@ class RomInstance:
     hr: list | None = field(repr=False, default=None)
     initializer: RbfInitializer | None = field(repr=False, default=None)
     provenance: dict = field(default_factory=dict)
+    # per-subdomain evaluation structure, built by the first build_problem;
+    # not an init field, so dataclasses.replace starts with an empty one
+    _structure: list | None = field(repr=False, default=None, init=False)
 
     def __post_init__(self):
         part = self.partition
@@ -169,10 +172,9 @@ def build_dd_fom(partition: Partition) -> RomInstance:
         provenance={"rom": "dd-fom", "constraint": "wfpc", "hr": "none"})
 
 
-def default_n_c(part, n_gam: int) -> int:
+def default_n_c(part, n_gam: int, n_rows: int) -> int:
     """Twice the SRPC constraint count at the same interface dims, capped
-    at the FOM constraint count."""
-    n_rows = assemble_fom_constraints(part.ports).n_rows
+    at the ``n_rows`` FOM constraints."""
     dims = port_latent_dims(part.ports, n_gam)
     srpc_rows = sum((len(p.members) - 1) * dims[p.index]
                     for p in part.ports.ports)
@@ -193,7 +195,7 @@ def instance_from_maps(partition: Partition, interior, gams,
     if constraint == "wfpc":
         A = assemble_fom_constraints(partition.ports)
         if n_c is None:
-            n_c = default_n_c(partition, n_gam)
+            n_c = default_n_c(partition, n_gam, A.n_rows)
         return RomInstance(partition=partition, interior_maps=interior,
                            interface_maps=gams, constraint_mode="wfpc",
                            fom_constraints=A,
@@ -356,62 +358,88 @@ def _restrict_map(m, rows):
     return extract_subnet(m, rows)
 
 
+def _block_structure(instance: RomInstance, i: int, ops: FomOperators):
+    """Everything subdomain ``i``'s residual and constraint need that does
+    not depend on the parameter: ``(hr, restricted, sub_int, gam, coupling)``.
+
+    ``gam`` is the interface outputs the residual reads off the full
+    decode (WFPC) or the interface map restricted to them (SRPC);
+    ``coupling`` is ``C A_i`` (WFPC) or the dense ROM constraint block.
+    """
+    part = instance.partition
+    sub = part.subdomains[i]
+    hr = instance.hr[i] if instance.hr is not None else hr_none(sub.n_res)
+    rows = hr.apply_B_rows()
+    io, gio = hr_rows_for_subdomain(part, i, rows)
+    restricted = RestrictedResidual(
+        ops, sub.res_rows[rows],
+        np.concatenate([sub.interior_cols[io], sub.interface_cols[gio]]))
+    sub_int = _restrict_map(instance.interior_maps[i], io)
+    if instance.constraint_mode == "wfpc":
+        # the constraint needs every interface trace entry, so the residual
+        # reads its rows off the same memoised full decode
+        return (hr, restricted, sub_int, gio,
+                instance.wfpc_C @ instance.fom_constraints.blocks[i].toarray())
+    return (hr, restricted, sub_int,
+            _restrict_map(instance.interface_maps[i], gio),
+            instance.rom_constraints.blocks[i].toarray())
+
+
 def build_problem(instance: RomInstance, ops: FomOperators) -> SqpProblem:
     """Instantiate the block-separable SQP problem at one parameter.
 
     Every block evaluates the residual rows its HR operator samples (all
     rows without HR) from only the decoder outputs those rows reference.
+    The parameter-independent structure is built at the instance's first
+    call and reused; each call binds only the boundary data of ``ops``.
     """
     part = instance.partition
+    if ops.grid != part.grid:
+        raise ValueError("operators were assembled on another grid than "
+                         "the partition's")
+    if instance._structure is None:
+        instance._structure = [_block_structure(instance, i, ops)
+                               for i in range(part.n_sub)]
+    wfpc = instance.constraint_mode == "wfpc"
     blocks = []
-    for i, sub in enumerate(part.subdomains):
-        int_map = instance.interior_maps[i]
+    for i, (hr, restricted, sub_int, gam, coupling) in enumerate(
+            instance._structure):
+        restricted = restricted.at(ops)
         gam_map = instance.interface_maps[i]
-        hr = (instance.hr[i] if instance.hr is not None
-              else hr_none(sub.n_res))
-        rows = hr.apply_B_rows()
-        io, gio = hr_rows_for_subdomain(part, i, rows)
-        restricted = RestrictedResidual(
-            ops, sub.res_rows[rows],
-            np.concatenate([sub.interior_cols[io], sub.interface_cols[gio]]))
-        sub_int = _restrict_map(int_map, io)
-
-        if instance.constraint_mode == "wfpc":
-            # the constraint needs every interface trace entry, so the
-            # residual reads its rows off the same memoised full decode
+        if wfpc:
             gam_full = _memo_map(gam_map)
-            CA = instance.wfpc_C @ instance.fom_constraints.blocks[i]\
-                .toarray()
 
-            def constraint(xg, CA=CA, gam_full=gam_full):
+            def constraint(xg, CA=coupling, gam_full=gam_full):
                 g, J = gam_full(xg)
                 return CA @ g, CA @ J
 
-            def decode_gam(xg, gam_full=gam_full, gio=gio):
+            def decode_gam(xg, gam_full=gam_full, gio=gam):
                 g, J = gam_full(xg)
                 return g[gio], J[gio]
         else:
-            Ahat = instance.rom_constraints.blocks[i].toarray()
-            sub_gam = _restrict_map(gam_map, gio)
-
-            def constraint(xg, Ahat=Ahat):
+            def constraint(xg, Ahat=coupling):
                 return Ahat @ xg, Ahat
 
-            def decode_gam(xg, sub_gam=sub_gam):
+            def decode_gam(xg, sub_gam=gam):
                 return sub_gam.decode(xg), np.asarray(sub_gam.jacobian(xg))
 
         def residual(xi, xg, hr=hr, restricted=restricted, sub_int=sub_int,
-                     decode_gam=decode_gam, n_io=io.size):
+                     decode_gam=decode_gam):
             v_gam, J_gam = decode_gam(xg)
+            J_int = np.asarray(sub_int.jacobian(xi))
+            n_io, k_int = J_int.shape
+            # one product with blockdiag(J_int, J_gam) instead of two
+            # column slices of the sparse Jacobian
+            M = np.zeros((restricted.n_cols, k_int + J_gam.shape[1]))
+            M[:n_io, :k_int] = J_int
+            M[n_io:, k_int:] = J_gam
             v = np.concatenate([sub_int.decode(xi), v_gam])
-            J = restricted.jacobian(v)
+            R = hr.apply_sampled_matrix(restricted.jacobian(v) @ M)
             return (hr.apply_sampled(restricted.residual(v)),
-                    hr.apply_sampled_matrix(
-                        J[:, :n_io] @ np.asarray(sub_int.jacobian(xi))),
-                    hr.apply_sampled_matrix(J[:, n_io:] @ J_gam))
+                    R[:, :k_int], R[:, k_int:])
 
-        blocks.append(SqpBlock(int_map.latent_dim, gam_map.latent_dim,
-                               residual, constraint))
+        blocks.append(SqpBlock(instance.interior_maps[i].latent_dim,
+                               gam_map.latent_dim, residual, constraint))
     return SqpProblem(blocks, instance.n_mult)
 
 
@@ -514,11 +542,12 @@ class BenchmarkRecord:
     converged: bool = False
     final_merit: float = np.nan
     status: str = "ok"
+    online_seconds: float = np.nan    # assemble through decode, wall
 
     HEADER = ["label", "rom", "constraint", "hr", "n_int", "n_gam", "a",
               "lambda", "error", "fom_seconds", "rom_seconds",
               "parallel_seconds", "per_iter_seconds", "speedup", "n_iter",
-              "converged", "final_merit", "status"]
+              "converged", "final_merit", "status", "online_seconds"]
 
     def row(self):
         c = self.config
@@ -527,7 +556,8 @@ class BenchmarkRecord:
                 self.a, self.lam, self.error, self.fom_seconds,
                 self.rom_seconds, self.parallel_seconds,
                 self.per_iter_seconds, self.speedup, self.n_iter,
-                int(self.converged), self.final_merit, self.status]
+                int(self.converged), self.final_merit, self.status,
+                self.online_seconds]
 
 
 def solve_rom(instance: RomInstance, p: ParameterPoint,
@@ -538,13 +568,17 @@ def solve_rom(instance: RomInstance, p: ParameterPoint,
 
     The record's parallel time charges each iteration with the slowest
     block evaluation instead of the per-block sum, matching a
-    one-subdomain-per-processor execution model.
+    one-subdomain-per-processor execution model.  ``rom_seconds`` times
+    the SQP iterations alone; ``online_seconds`` is the whole online path
+    from operator assembly through decode (FOM reference and error
+    excluded).
     """
     part = instance.partition
     if compute_error and fom_state is None:
         t0 = time.perf_counter()
         fom_state, _ = solve_monolithic(part.grid, p)
         fom_seconds = time.perf_counter() - t0
+    t_online = time.perf_counter()
     ops = assemble(part.grid, p)
     prob = build_problem(instance, ops)
     if x0 is None:
@@ -559,6 +593,7 @@ def solve_rom(instance: RomInstance, p: ParameterPoint,
     parallel = (sum(res.timings["block_max"]) + sum(res.timings["kkt"]))
 
     states = instance.decode(res.x)
+    online_seconds = time.perf_counter() - t_online
     error = np.nan
     if compute_error:
         error = relative_error(restrict_blocks(part, fom_state), states)
@@ -571,7 +606,8 @@ def solve_rom(instance: RomInstance, p: ParameterPoint,
         speedup=fom_seconds / parallel if parallel > 0 else np.nan,
         n_iter=res.n_iter, converged=res.converged,
         final_merit=res.final_merit,
-        status="ok" if res.failure_reason is None else res.failure_reason)
+        status="ok" if res.failure_reason is None else res.failure_reason,
+        online_seconds=online_seconds)
     return RomSolution(x_latent=res.x, lam=res.lam, states=states, sqp=res,
                        error=error), record
 

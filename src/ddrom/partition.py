@@ -15,6 +15,7 @@ feeds it the 5-point-stencil pattern and the grid-block row ownership.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -328,112 +329,122 @@ class RestrictedResidual:
     present.  Evaluation touches only the selected rows -- the instance
     counts evaluated rows so hyper-reduction tests can assert nothing else
     was computed.
+
+    Construction does the symbolic work once: the row-restricted
+    operators and the Jacobian's sparsity pattern, which depend only on
+    the grid.  :meth:`at` rebinds the parameter-dependent boundary data
+    and shares everything else.
     """
 
     def __init__(self, ops: FomOperators, rows, cols):
-        grid = ops.grid
-        n = grid.nnode
+        n = ops.grid.nnode
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
+        self.grid = ops.grid
         self.rows = rows
         self.cols = cols
-        self.n_rows = rows.size
+        self.n_rows = m = rows.size
         self.n_cols = cols.size
-        self.rows_evaluated = 0
 
         lookup = np.full(2 * n, -1, dtype=np.int64)
         lookup[cols] = np.arange(cols.size)
 
-        u_mask = rows < n
-        self._u_pos = np.flatnonzero(u_mask)
-        self._v_pos = np.flatnonzero(~u_mask)
-        pu = rows[u_mask]
-        pv = rows[~u_mask] - n
+        # row k is the u (v) equation at node rows[k] % n: its operators
+        # act on the u (v) columns, and its Hadamard factors u, v live on
+        # the same node
+        node = rows % n
+        shift = rows - node
 
-        def remap(mat, node_rows, col_offset):
-            sub = mat[node_rows, :].tocoo()
-            local = lookup[sub.col + col_offset]
+        def remap(mat):
+            sub = mat[node, :].tocoo()
+            local = lookup[sub.col + shift[sub.row]]
             if np.any(local < 0):
                 raise ValueError("restricted rows reference columns outside "
                                  "the provided column set")
             return sp.csr_matrix((sub.data, (sub.row, local)),
-                                 shape=(node_rows.size, cols.size))
+                                 shape=(m, cols.size))
 
-        def gather_idx(node_rows, col_offset):
-            local = lookup[node_rows + col_offset]
+        def gather_idx(offset):
+            local = lookup[node + offset]
             if np.any(local < 0):
                 raise ValueError("diagonal coupling column missing from the "
                                  "provided column set")
             return local
 
-        # u-rows act on u columns; their Hadamard factors live on the
-        # diagonal (same node, both components)
-        self._Bx_u = remap(ops.Bx, pu, 0)
-        self._By_u = remap(ops.By, pu, 0)
-        self._Cd_u = remap(ops.Cdiff, pu, 0)
-        self._gu_u = gather_idx(pu, 0)
-        self._gv_u = gather_idx(pu, n)
-        self._bux = ops.bux[pu]
-        self._buy = ops.buy[pu]
-        self._cu = ops.cu[pu]
+        # D = [Bx; By] on the selected rows, and each row's own-node u and v
+        # columns (the Hadamard factors)
+        self._D = sp.vstack([remap(ops.Bx), remap(ops.By)], format="csr")
+        self._Cd = remap(ops.Cdiff)
+        self._g = np.concatenate([gather_idx(0), gather_idx(n)])
 
-        self._Bx_v = remap(ops.Bx, pv, n)
-        self._By_v = remap(ops.By, pv, n)
-        self._Cd_v = remap(ops.Cdiff, pv, n)
-        self._gu_v = gather_idx(pv, 0)
-        self._gv_v = gather_idx(pv, n)
-        self._bvx = ops.bvx[pv]
-        self._bvy = ops.bvy[pv]
-        self._cv = ops.cv[pv]
+        # Jacobian terms, summed per entry in this order:
+        #   diag(Bx x - bx) Eu + diag(x_u) Bx + diag(x_v) By
+        #   + diag(By x - by) Ev + Cdiff.
+        # The first four are scale[src] * coeff with the per-call
+        # scale = [D x - [bx; by], x_u, x_v]; Cdiff is constant and last.
+        k = np.arange(m)
+        D, Cd = self._D.tocoo(), self._Cd.tocoo()
+        t_row, t_col, self._coeff, self._src = (
+            np.concatenate(parts) for parts in zip(
+                (k, self._g[:m], np.ones(m), k),
+                (D.row % m, D.col, D.data, 2 * m + D.row),
+                (k, self._g[m:], np.ones(m), m + k)))
+        # the fixed pattern: union of all five supports, row-major with
+        # sorted columns
+        key = t_row * cols.size + t_col
+        cd_key = Cd.row * cols.size + Cd.col
+        keys = np.union1d(key, cd_key)
+        self._pos = np.searchsorted(keys, key)
+        self._cd = np.zeros(keys.size)
+        self._cd[np.searchsorted(keys, cd_key)] = Cd.data
+        # built through the constructor once, so the index arrays already
+        # have the dtype scipy picks and the per-call wrap does not convert
+        row_nnz = np.bincount(keys // cols.size, minlength=m)
+        pattern = sp.csr_matrix(
+            (np.zeros(keys.size), keys % cols.size,
+             np.concatenate([[0], np.cumsum(row_nnz)])),
+            shape=(m, cols.size))
+        self._indices, self._indptr = pattern.indices, pattern.indptr
+        self._bind(ops)
 
-        def one_hot(idx):
-            return sp.csr_matrix(
-                (np.ones(idx.size), (np.arange(idx.size), idx)),
-                shape=(idx.size, cols.size))
+    def _bind(self, ops: FomOperators):
+        """Gather the boundary vectors of ``ops`` onto the selected rows."""
+        def on_rows(u_vec, v_vec):
+            return np.concatenate([u_vec, v_vec])[self.rows]
 
-        self._Eu_u = one_hot(self._gu_u)
-        self._Ev_u = one_hot(self._gv_u)
-        self._Eu_v = one_hot(self._gu_v)
-        self._Ev_v = one_hot(self._gv_v)
+        self._b = np.concatenate([on_rows(ops.bux, ops.bvx),
+                                  on_rows(ops.buy, ops.bvy)])
+        self._c = on_rows(ops.cu, ops.cv)
+        self.rows_evaluated = 0
+
+    def at(self, ops: FomOperators) -> "RestrictedResidual":
+        """This evaluator with the boundary data of ``ops`` and a fresh row
+        count; the symbolic structure is shared, not rebuilt."""
+        if ops.grid != self.grid:
+            raise ValueError("operators were assembled on another grid")
+        new = copy.copy(self)
+        new._bind(ops)
+        return new
 
     def residual(self, x: np.ndarray) -> np.ndarray:
         if x.shape != (self.n_cols,):
             raise ValueError("local state has wrong length")
         self.rows_evaluated += self.n_rows
-        out = np.empty(self.n_rows)
-        xu = x[self._gu_u]
-        xv = x[self._gv_u]
-        out[self._u_pos] = (xu * (self._Bx_u @ x - self._bux)
-                            + xv * (self._By_u @ x - self._buy)
-                            + self._Cd_u @ x + self._cu)
-        xu = x[self._gu_v]
-        xv = x[self._gv_v]
-        out[self._v_pos] = (xu * (self._Bx_v @ x - self._bvx)
-                            + xv * (self._By_v @ x - self._bvy)
-                            + self._Cd_v @ x + self._cv)
-        return out
+        m = self.n_rows
+        d = self._D @ x - self._b
+        xg = x[self._g]
+        return xg[:m] * d[:m] + xg[m:] * d[m:] + self._Cd @ x + self._c
 
     def jacobian(self, x: np.ndarray) -> sp.csr_matrix:
         if x.shape != (self.n_cols,):
             raise ValueError("local state has wrong length")
-        du = sp.diags(x[self._gu_u])
-        dv = sp.diags(x[self._gv_u])
-        Ju = (sp.diags(self._Bx_u @ x - self._bux) @ self._Eu_u
-              + du @ self._Bx_u + dv @ self._By_u
-              + sp.diags(self._By_u @ x - self._buy) @ self._Ev_u
-              + self._Cd_u)
-        du = sp.diags(x[self._gu_v])
-        dv = sp.diags(x[self._gv_v])
-        Jv = (du @ self._Bx_v
-              + sp.diags(self._Bx_v @ x - self._bvx) @ self._Eu_v
-              + dv @ self._By_v
-              + sp.diags(self._By_v @ x - self._bvy) @ self._Ev_v
-              + self._Cd_v)
-        stacked = sp.vstack([Ju, Jv]).tocsr()
-        order = np.empty(self.n_rows, dtype=np.int64)
-        order[self._u_pos] = np.arange(self._u_pos.size)
-        order[self._v_pos] = self._u_pos.size + np.arange(self._v_pos.size)
-        return stacked[order, :]
+        scale = np.concatenate([self._D @ x - self._b, x[self._g]])
+        # bincount adds in input order, so per entry in term order
+        data = np.bincount(self._pos, weights=scale[self._src] * self._coeff,
+                           minlength=self._cd.size)
+        data += self._cd
+        return sp.csr_matrix((data, self._indices, self._indptr),
+                             shape=(self.n_rows, self.n_cols))
 
 
 def build_partition(grid: Grid2D, nsub_x: int, nsub_y: int) -> Partition:

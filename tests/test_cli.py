@@ -216,7 +216,8 @@ def test_benchmark_plan(tmp_path):
     with open(out / "records.csv") as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == 1 + 3       # 1 instance x 2 params + absent cell
-    assert [r[-1] for r in rows[1:]].count("absent") == 1
+    status = rows[0].index("status")
+    assert [r[status] for r in rows[1:]].count("absent") == 1
     assert (out / "pareto.csv").exists()
 
 

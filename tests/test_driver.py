@@ -2,6 +2,8 @@
 bound diagnostics, and the benchmark harness."""
 
 import csv
+import inspect
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from ddrom.driver import (
     build_lsrom,
     build_nmrom,
     build_problem,
+    default_n_c,
     fit_initializer,
     init_guess,
     inverse_lipschitz_estimate,
@@ -33,7 +36,8 @@ from ddrom.driver import (
     wfpc_test_matrix,
 )
 from ddrom.hyper import hr_rows_for_subdomain
-from ddrom.partition import build_partition
+from ddrom.partition import assemble_fom_constraints, \
+    assemble_rom_constraints, build_partition
 from ddrom.pod import LinearMap
 from ddrom.snapshots import generate, sample_grid
 from ddrom.sqp import SqpConfig
@@ -79,6 +83,20 @@ def test_port_latent_dims_caps_and_floors(desk):
     huge = port_latent_dims(pt, 10 ** 6)
     assert all(huge[p.index] == p.size - 1 for p in pt.ports)
     assert all(d == 1 for d in port_latent_dims(pt, 0).values())
+
+
+def test_default_n_c_twice_srpc_rows_capped_at_fom_rows(desk):
+    _, part, snap = desk
+    n_rows = assemble_fom_constraints(part.ports).n_rows
+    for n_gam in (1, 6, 20):
+        srpc = assemble_rom_constraints(
+            part.ports, port_latent_dims(part.ports, n_gam)).n_rows
+        expected = min(2 * srpc, n_rows)
+        assert default_n_c(part, n_gam, n_rows) == expected
+        inst = build_lsrom(part, snap, n_int=4, n_gam=n_gam,
+                           constraint="wfpc")
+        assert inst.wfpc_C.shape == (expected, n_rows)
+    assert default_n_c(part, 20, n_rows) == n_rows      # the cap binds
 
 
 def test_wfpc_test_matrix_seeded_and_scaled():
@@ -431,6 +449,74 @@ def test_hr_blocks_weight_full_row_blocks(desk, name, mode, request):
             assert_rel_close(g, hr.matrix() @ f)
 
 
+@pytest.mark.parametrize("name", ["ls-wfpc", "ls-srpc", "nm-wfpc-hr",
+                                  "dd-fom"])
+def test_cached_structure_matches_fresh_build(desk, name, request):
+    grid, part, snap = desk
+    if name == "nm-wfpc-hr":
+        inst = attach_hr(request.getfixturevalue("nm_wfpc"), snap,
+                         "collocation", n_samples=30)
+    else:
+        inst = instance_named(name, request)
+    warm, fresh = replace(inst), replace(inst)
+    x = perturbed_latent(inst, snap, 7)
+    evaluate_blocks(warm, assemble(grid, snap.params[3]), x)
+    assert warm._structure is not None and fresh._structure is None
+    ops = assemble(grid, snap.params[7])
+    prob_w, prob_f = build_problem(warm, ops), build_problem(fresh, ops)
+    for bw, bf, (xi, xg) in zip(prob_w.blocks, prob_f.blocks,
+                                prob_w.split(x)):
+        for got, ref in zip(bw.residual(xi, xg) + bw.constraint(xg),
+                            bf.residual(xi, xg) + bf.constraint(xg)):
+            np.testing.assert_array_equal(got, ref)
+
+
+def test_instance_copies_start_without_structure(desk, ls_wfpc):
+    grid, _, snap = desk
+    inst = replace(ls_wfpc)
+    build_problem(inst, assemble(grid, snap.params[7]))
+    assert inst._structure is not None
+    assert replace(inst)._structure is None
+    assert fit_initializer(inst, snap)._structure is None
+    h = attach_hr(inst, snap, "collocation", n_samples=30)
+    assert h._structure is None
+    prob = build_problem(h, assemble(grid, snap.params[7]))
+    for blk, hr, (xi, xg) in zip(prob.blocks, h.hr,
+                                 prob.split(np.zeros(prob.n_primal))):
+        assert blk.residual(xi, xg)[0].size == hr.rows.size
+
+
+def test_build_problem_rejects_operators_of_another_grid(desk, ls_wfpc):
+    grid, _, snap = desk
+    p = snap.params[7]
+    for other in (Grid2D(grid.nx + 2, grid.ny),
+                  Grid2D(grid.nx, grid.ny, nu=2 * grid.nu)):
+        with pytest.raises(ValueError, match="grid"):
+            build_problem(replace(ls_wfpc), assemble(other, p))
+
+
+def restricted_of(block):
+    """The RestrictedResidual a problem block's residual closure holds."""
+    return inspect.signature(block.residual).parameters["restricted"].default
+
+
+def test_rows_evaluated_counts_per_problem(desk, ls_wfpc):
+    grid, _, snap = desk
+    inst = replace(ls_wfpc)
+    probs = [build_problem(inst, assemble(grid, snap.params[k]))
+             for k in (3, 7)]
+    x = perturbed_latent(inst, snap, 7)
+    for _ in range(2):
+        for blk, (xi, xg) in zip(probs[0].blocks, probs[0].split(x)):
+            blk.residual(xi, xg)
+    for blk, sub in zip(probs[0].blocks, inst.partition.subdomains):
+        assert restricted_of(blk).rows_evaluated == 2 * sub.n_res
+    for blk in probs[1].blocks:
+        assert restricted_of(blk).rows_evaluated == 0
+    assert all(restricted.rows_evaluated == 0
+               for _, restricted, *_ in inst._structure)
+
+
 def old_referenced_cols(pattern, rows):
     return np.unique(np.concatenate(
         [pattern.indices[pattern.indptr[r]:pattern.indptr[r + 1]]
@@ -520,10 +606,14 @@ def test_benchmark_sweep_schema_and_determinism(desk, ls_wfpc, ls_srpc,
                        "n_gam", "a", "lambda", "error", "fom_seconds",
                        "rom_seconds", "parallel_seconds",
                        "per_iter_seconds", "speedup", "n_iter",
-                       "converged", "final_merit", "status"]
+                       "converged", "final_merit", "status",
+                       "online_seconds"]
     assert len(rows) == 1 + 5          # 2 instances x 2 params + absent
-    statuses = [r[-1] for r in rows[1:]]
+    statuses = [r[rows[0].index("status")] for r in rows[1:]]
     assert statuses.count("absent") == 1
+
+    ok = [r for r in recs1 if r.status == "ok"]
+    assert ok and all(r.online_seconds >= r.rom_seconds > 0 for r in ok)
 
     # errors deterministic across repeated sweeps; timings excluded
     e1 = [r.error for r in recs1 if r.status == "ok"]

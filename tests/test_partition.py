@@ -313,3 +313,77 @@ def test_restricted_residual_requires_referenced_columns():
     ops = assemble(g, ParameterPoint(10.0, 9.0))
     with pytest.raises(ValueError):
         RestrictedResidual(ops, np.array([5]), np.array([5]))
+
+
+# ------------------------------------------------- fixed-pattern Jacobian
+
+def sparse_formula_jacobian(ops, rows, cols, x):
+    """Reference: the per-call sparse formula the fixed-pattern fill
+    replaced -- diagonal scalings of the row-restricted operators and
+    one-hot couplings, summed per velocity block, stacked and permuted
+    back to row order."""
+    n = ops.grid.nnode
+    lookup = np.full(2 * n, -1, dtype=np.int64)
+    lookup[cols] = np.arange(cols.size)
+
+    def block(node_rows, off, bx, by):
+        def remap(mat):
+            sub = mat[node_rows, :].tocoo()
+            return sp.csr_matrix((sub.data, (sub.row, lookup[sub.col + off])),
+                                 shape=(node_rows.size, cols.size))
+
+        def one_hot(idx):
+            return sp.csr_matrix(
+                (np.ones(idx.size), (np.arange(idx.size), idx)),
+                shape=(idx.size, cols.size))
+
+        Bx, By, Cd = remap(ops.Bx), remap(ops.By), remap(ops.Cdiff)
+        gu, gv = lookup[node_rows], lookup[node_rows + n]
+        return (sp.diags(Bx @ x - bx[node_rows]) @ one_hot(gu)
+                + sp.diags(x[gu]) @ Bx + sp.diags(x[gv]) @ By
+                + sp.diags(By @ x - by[node_rows]) @ one_hot(gv) + Cd)
+
+    u_pos, v_pos = np.flatnonzero(rows < n), np.flatnonzero(rows >= n)
+    stacked = sp.vstack([block(rows[u_pos], 0, ops.bux, ops.buy),
+                         block(rows[v_pos] - n, n, ops.bvx, ops.bvy)]).tocsr()
+    order = np.empty(rows.size, dtype=np.int64)
+    order[u_pos] = np.arange(u_pos.size)
+    order[v_pos] = u_pos.size + np.arange(v_pos.size)
+    return stacked[order, :]
+
+
+@pytest.mark.parametrize("nx,ny", [(120, 12), (60, 8)])
+@pytest.mark.parametrize("row_set", ["full", "hr", "u-only", "v-only"])
+def test_fixed_pattern_jacobian_matches_references(nx, ny, row_set):
+    g = Grid2D(nx=nx, ny=ny)
+    part = build_partition(g, 2, 2)
+    n = g.nnode
+    rng = np.random.default_rng(nx + len(row_set))
+    # the structure is built at one parameter and rebound to another
+    ops_built = assemble(g, ParameterPoint(40.0, 6.0))
+    ops = assemble(g, ParameterPoint(4321.0, 17.5))
+    x_global = rng.normal(size=g.ndof)
+    for sub in part.subdomains:
+        rows = {"full": sub.res_rows,
+                "hr": np.sort(rng.choice(sub.res_rows, 60, replace=False)),
+                "u-only": sub.res_rows[sub.res_rows < n],
+                "v-only": sub.res_rows[sub.res_rows >= n]}[row_set]
+        cols = rng.permutation(part.referenced_cols(rows))
+        rr = RestrictedResidual(ops_built, rows, cols).at(ops)
+        x_zero_half = x_global.copy()
+        x_zero_half[rng.random(g.ndof) < 0.5] = 0.0
+        patterns = []
+        for x in (x_global, np.zeros(g.ndof), x_zero_half):
+            J = rr.jacobian(x[cols])
+            assert isinstance(J, sp.csr_matrix) and J.has_sorted_indices
+            patterns.append((J.indices, J.indptr))
+            got = J.toarray()
+            for ref in (sparse_formula_jacobian(ops, rows, cols, x[cols]),
+                        jacobian(ops, x)[rows][:, cols]):
+                ref = ref.toarray()
+                assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+        for indices, indptr in patterns[1:]:
+            np.testing.assert_array_equal(indices, patterns[0][0])
+            np.testing.assert_array_equal(indptr, patterns[0][1])
+    with pytest.raises(ValueError, match="grid"):
+        rr.at(assemble(Grid2D(nx=nx, ny=ny, nu=0.2), ops.param))

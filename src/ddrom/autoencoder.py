@@ -162,17 +162,6 @@ class Autoencoder:
         inner = self.W2g @ (zp[:, None] * self.W1g)
         return inner * self.norm.scale[:, None]
 
-    def decode_batch(self, Xhat: np.ndarray) -> np.ndarray:
-        """Vectorized decode of latent columns (training/eval fast path)."""
-        A = _act(self.activation, self.W1g @ Xhat + self.b1g[:, None])
-        raw = self.W2g @ A
-        return raw * self.norm.scale[:, None] + self.norm.shift[:, None]
-
-    def encode_batch(self, X: np.ndarray) -> np.ndarray:
-        Xn = (X - self.norm.shift[:, None]) / self.norm.scale[:, None]
-        A = _act(self.activation, self.W1h @ Xn + self.b1h[:, None])
-        return self.W2h @ A
-
 
 @dataclass(frozen=True)
 class TrainConfig:

@@ -20,6 +20,7 @@ exactly (Hadamard products contribute diagonal cross-coupling between the
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -171,12 +172,12 @@ def _second_difference(n: int) -> sp.csr_matrix:
     return sp.diags([e[:-1], -2.0 * e, e[:-1]], [-1, 0, 1], format="csr")
 
 
-def assemble(grid: Grid2D, p: ParameterPoint) -> FomOperators:
-    """Build the sparse operators and exact-solution boundary vectors."""
+@functools.lru_cache(maxsize=8)
+def _grid_operators(grid: Grid2D):
+    """``(Bx, By, Cdiff)`` of ``grid``, built once per grid and shared by
+    every :func:`assemble` on it, so their arrays are read-only."""
     nx, ny, nu = grid.nx, grid.ny, grid.nu
     hx, hy = grid.hx, grid.hy
-    n = grid.nnode
-
     Bx = (-1.0 / (2.0 * hx)) * sp.kron(sp.identity(ny), _first_difference(nx),
                                        format="csr")
     By = (-1.0 / (2.0 * hy)) * sp.kron(_first_difference(ny), sp.identity(nx),
@@ -184,6 +185,18 @@ def assemble(grid: Grid2D, p: ParameterPoint) -> FomOperators:
     Cdiff = ((nu / hx**2) * sp.kron(sp.identity(ny), _second_difference(nx))
              + (nu / hy**2) * sp.kron(_second_difference(ny),
                                       sp.identity(nx))).tocsr()
+    for mat in (Bx, By, Cdiff):
+        for arr in (mat.data, mat.indices, mat.indptr):
+            arr.flags.writeable = False
+    return Bx, By, Cdiff
+
+
+def assemble(grid: Grid2D, p: ParameterPoint) -> FomOperators:
+    """Build the sparse operators and exact-solution boundary vectors."""
+    nx, ny, nu = grid.nx, grid.ny, grid.nu
+    hx, hy = grid.hx, grid.hy
+    n = grid.nnode
+    Bx, By, Cdiff = _grid_operators(grid)
 
     # Ghost values of the exact solution just outside each edge.
     uL, vL = exact_solution(p, X_MIN, grid.y, nu=nu)

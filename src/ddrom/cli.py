@@ -19,6 +19,7 @@ import shutil
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -34,13 +35,14 @@ from .driver import (
     build_lsrom,
     build_nmrom,
     fit_initializer,
+    hr_operator,
+    hr_sample,
     instance_from_maps,
     port_latent_dims,
     solve_rom,
     train_nets,
     verify_bounds,
 )
-from .hyper import greedy_sample, hr_collocation, hr_gappy
 from .partition import build_partition
 from .pod import LinearMap, pod, port_interface_basis
 from .snapshots import generate, load, sample_grid, save
@@ -215,12 +217,11 @@ def cmd_hr_build(args, t0):
     part = build_partition(snap.grid, snap.nsub_x, snap.nsub_y)
     mats, counts = {}, {}
     for i, sub in enumerate(part.subdomains):
-        basis = pod(snap.residual[i], tol=args.residual_energy).Phi
-        ns = min(max(args.samples, basis.shape[1]), sub.n_res)
-        rows = greedy_sample(basis, ns)
+        rows, basis = hr_sample(snap.residual[i], sub.n_res, args.samples,
+                                args.residual_energy)
         mats[f"rows_{i}"] = rows.astype(float)
         mats[f"basis_{i}"] = basis
-        counts[f"samples_{i}"] = ns
+        counts[f"samples_{i}"] = rows.size
     _log("hr-build", f"mode={args.mode}, "
          + ", ".join(f"{k}={v}" for k, v in counts.items()))
     with _atomic_dir(args.out) as out:
@@ -281,16 +282,10 @@ def _build_instance(part, snap, args):
         return inst
     if args.hr_dir is not None:
         mats = binio.read_matrices(Path(args.hr_dir) / "hr.bin")
-        ops = []
-        for i, sub in enumerate(part.subdomains):
-            rows = mats[f"rows_{i}"].ravel().astype(np.int64)
-            if args.hr == "collocation":
-                ops.append(hr_collocation(rows, sub.n_res))
-            else:
-                ops.append(hr_gappy(rows, np.ascontiguousarray(
-                    mats[f"basis_{i}"])))
-        inst.hr = ops
-        return inst
+        return replace(inst, hr=[
+            hr_operator(args.hr, mats[f"rows_{i}"].ravel().astype(np.int64),
+                        np.ascontiguousarray(mats[f"basis_{i}"]), sub.n_res)
+            for i, sub in enumerate(part.subdomains)])
     return attach_hr(inst, snap, args.hr, n_samples=args.hr_samples,
                      energy=args.residual_energy)
 

@@ -29,7 +29,7 @@ from scipy.interpolate import RBFInterpolator
 
 from .autoencoder import TrainConfig, assemble_srpc_interface, build_mask, \
     train
-from .burgers import FomOperators, Grid2D, ParameterPoint, assemble, \
+from .burgers import FomOperators, ParameterPoint, assemble, \
     solve_monolithic
 from .errors import ConvergenceError
 from .hyper import extract_subnet, greedy_sample, hr_collocation, hr_gappy, \
@@ -61,8 +61,6 @@ class RbfInitializer:
     """Thin-plate-spline interpolant of latent coordinates over the
     parameter box, fitted on unit-square-normalized parameters."""
 
-    params: np.ndarray                 # n_mu x 2, raw (a, lam)
-    latents: np.ndarray = field(repr=False)   # n_mu x n_D
     lo: np.ndarray = field(repr=False)
     hi: np.ndarray = field(repr=False)
     _rbf: RBFInterpolator = field(repr=False, default=None)
@@ -77,7 +75,7 @@ class RbfInitializer:
         span = np.where(hi > lo, hi - lo, 1.0)
         rbf = RBFInterpolator((pts - lo) / span, latents,
                               kernel="thin_plate_spline")
-        return cls(params=pts, latents=latents, lo=lo, hi=hi, _rbf=rbf)
+        return cls(lo=lo, hi=hi, _rbf=rbf)
 
     def query(self, p: ParameterPoint) -> np.ndarray:
         q = np.array([p.a, p.lam], dtype=float)
@@ -293,22 +291,34 @@ def build_nmrom(partition: Partition, snap, n_int: int, n_gam: int,
                               wfpc_seed=wfpc_seed)
 
 
+def hr_sample(residual_snapshots: np.ndarray, n_res: int, n_samples: int,
+              energy: float):
+    """Residual POD basis at energy ``energy`` and its greedy sample rows:
+    ``n_samples`` of them, at least one per basis column, at most
+    ``n_res``.  Returns ``(rows, basis)``."""
+    basis = pod(residual_snapshots, tol=energy).Phi
+    ns = min(max(n_samples, basis.shape[1]), n_res)
+    return greedy_sample(basis, ns), basis
+
+
+def hr_operator(mode: str, rows, basis: np.ndarray, n_res: int):
+    """Collocation or gappy HR operator on the sampled ``rows``."""
+    if mode == "collocation":
+        return hr_collocation(rows, n_res)
+    return hr_gappy(rows, basis)
+
+
 def attach_hr(instance: RomInstance, snap, mode: str,
               n_samples: int = 100, energy: float = 1e-10) -> RomInstance:
     """Return a copy of ``instance`` with per-subdomain HR operators built
     from residual snapshots (POD residual basis + greedy row sampling)."""
-    if mode not in ("none", "collocation", "gappy"):
-        raise ValueError("hr mode must be none, collocation or gappy")
+    if mode not in ("collocation", "gappy"):
+        raise ValueError("hr mode must be collocation or gappy")
     ops = []
     for i, sub in enumerate(instance.partition.subdomains):
-        if mode == "none":
-            ops.append(hr_none(sub.n_res))
-            continue
-        basis = pod(snap.residual[i], tol=energy).Phi
-        ns = min(max(n_samples, basis.shape[1]), sub.n_res)
-        rows = greedy_sample(basis, ns)
-        ops.append(hr_collocation(rows, sub.n_res) if mode == "collocation"
-                   else hr_gappy(rows, basis))
+        rows, basis = hr_sample(snap.residual[i], sub.n_res, n_samples,
+                                energy)
+        ops.append(hr_operator(mode, rows, basis, sub.n_res))
     return replace(instance, hr=ops,
                    provenance={**instance.provenance, "hr": mode,
                                "hr_samples": n_samples})
@@ -330,20 +340,6 @@ def fit_initializer(instance: RomInstance, snap) -> RomInstance:
 
 
 # -- SQP problem assembly ------------------------------------------------
-
-
-def _memo_map(m):
-    store = {}
-
-    def get(xg):
-        key = xg.tobytes()
-        if store.get("key") != key:
-            store["key"] = key
-            store["g"] = m.decode(xg)
-            store["J"] = np.asarray(m.jacobian(xg))
-        return store["g"], store["J"]
-
-    return get
 
 
 def _restrict_map(m, rows):
@@ -369,15 +365,14 @@ def _block_structure(instance: RomInstance, i: int, ops: FomOperators):
     part = instance.partition
     sub = part.subdomains[i]
     hr = instance.hr[i] if instance.hr is not None else hr_none(sub.n_res)
-    rows = hr.apply_B_rows()
-    io, gio = hr_rows_for_subdomain(part, i, rows)
+    io, gio = hr_rows_for_subdomain(part, i, hr.rows)
     restricted = RestrictedResidual(
-        ops, sub.res_rows[rows],
+        ops, sub.res_rows[hr.rows],
         np.concatenate([sub.interior_cols[io], sub.interface_cols[gio]]))
     sub_int = _restrict_map(instance.interior_maps[i], io)
     if instance.constraint_mode == "wfpc":
         # the constraint needs every interface trace entry, so the residual
-        # reads its rows off the same memoised full decode
+        # reads its rows off the same full decode
         return (hr, restricted, sub_int, gio,
                 instance.wfpc_C @ instance.fom_constraints.blocks[i].toarray())
     return (hr, restricted, sub_int,
@@ -404,42 +399,31 @@ def build_problem(instance: RomInstance, ops: FomOperators) -> SqpProblem:
     blocks = []
     for i, (hr, restricted, sub_int, gam, coupling) in enumerate(
             instance._structure):
-        restricted = restricted.at(ops)
         gam_map = instance.interface_maps[i]
-        if wfpc:
-            gam_full = _memo_map(gam_map)
 
-            def constraint(xg, CA=coupling, gam_full=gam_full):
-                g, J = gam_full(xg)
-                return CA @ g, CA @ J
-
-            def decode_gam(xg, gam_full=gam_full, gio=gam):
-                g, J = gam_full(xg)
-                return g[gio], J[gio]
-        else:
-            def constraint(xg, Ahat=coupling):
-                return Ahat @ xg, Ahat
-
-            def decode_gam(xg, sub_gam=gam):
-                return sub_gam.decode(xg), np.asarray(sub_gam.jacobian(xg))
-
-        def residual(xi, xg, hr=hr, restricted=restricted, sub_int=sub_int,
-                     decode_gam=decode_gam):
-            v_gam, J_gam = decode_gam(xg)
+        def evaluate(xi, xg, hr=hr, restricted=restricted.at(ops),
+                     sub_int=sub_int, gam=gam, coupling=coupling,
+                     gam_map=gam_map):
+            if wfpc:
+                g, J = gam_map.decode(xg), np.asarray(gam_map.jacobian(xg))
+                v_gam, J_gam = g[gam], J[gam]
+                c, C = coupling @ g, coupling @ J
+            else:
+                v_gam, J_gam = gam.decode(xg), np.asarray(gam.jacobian(xg))
+                c, C = coupling @ xg, coupling
             J_int = np.asarray(sub_int.jacobian(xi))
             n_io, k_int = J_int.shape
-            # one product with blockdiag(J_int, J_gam) instead of two
-            # column slices of the sparse Jacobian
+            # M = blockdiag(J_int, J_gam): one product gives the Jacobian
+            # over [x_int, x_gam] without slicing the sparse Jacobian
             M = np.zeros((restricted.n_cols, k_int + J_gam.shape[1]))
             M[:n_io, :k_int] = J_int
             M[n_io:, k_int:] = J_gam
             v = np.concatenate([sub_int.decode(xi), v_gam])
-            R = hr.apply_sampled_matrix(restricted.jacobian(v) @ M)
             return (hr.apply_sampled(restricted.residual(v)),
-                    R[:, :k_int], R[:, k_int:])
+                    hr.apply_sampled(restricted.jacobian(v) @ M), c, C)
 
         blocks.append(SqpBlock(instance.interior_maps[i].latent_dim,
-                               gam_map.latent_dim, residual, constraint))
+                               gam_map.latent_dim, evaluate))
     return SqpProblem(blocks, instance.n_mult)
 
 

@@ -82,20 +82,12 @@ class HrOperator:
             raise ValueError("residual vector has wrong length")
         return self.apply_sampled(v[self.rows])
 
-    def apply_B_rows(self) -> np.ndarray:
-        """Which residual rows the weighted evaluation actually needs."""
-        return self.rows
-
     def apply_sampled(self, v_sampled: np.ndarray) -> np.ndarray:
-        """Weight a vector that holds only the ``apply_B_rows()`` entries."""
+        """Weight a vector, or the rows of a dense matrix, that holds only
+        the ``rows`` entries."""
         if self.mode == "gappy":
             return self.weights @ v_sampled
         return v_sampled
-
-    def apply_sampled_matrix(self, M):
-        """Same as :meth:`apply_sampled` for row-subset Jacobian blocks."""
-        M = M.toarray() if sp.issparse(M) else np.asarray(M)
-        return self.apply_sampled(M)
 
     def matrix(self) -> np.ndarray:
         """Dense B, for small instances and tests."""

@@ -240,9 +240,7 @@ class ConstraintMatrix:
 
     matrix: sp.csr_matrix
     blocks: list                      # per-subdomain column slices A_i
-    block_offsets: np.ndarray
     port_dims: dict | None = None     # latent dims per port (ROM variant)
-    sub_layout: dict | None = None    # i -> [(port, offset, dim), ...]
 
     @property
     def n_rows(self) -> int:
@@ -266,7 +264,7 @@ def _chain_rows(pt: PortTable, nsub, block_sizes, position_of):
     mat = sp.csr_matrix((vals, (rows, cols)),
                         shape=(r, int(offsets[-1])))
     blocks = [mat[:, offsets[i]:offsets[i + 1]].tocsr() for i in range(nsub)]
-    return mat, blocks, offsets
+    return mat, blocks
 
 
 def assemble_fom_constraints(pt: PortTable) -> ConstraintMatrix:
@@ -279,9 +277,9 @@ def assemble_fom_constraints(pt: PortTable) -> ConstraintMatrix:
     """
     nsub = len(pt._n_interface)
     sizes = [pt.interface_size(i) for i in range(nsub)]
-    mat, blocks, offsets = _chain_rows(
+    mat, blocks = _chain_rows(
         pt, nsub, sizes, lambda port, i: pt.member_positions(port.index, i))
-    return ConstraintMatrix(matrix=mat, blocks=blocks, block_offsets=offsets)
+    return ConstraintMatrix(matrix=mat, blocks=blocks)
 
 
 def assemble_rom_constraints(pt: PortTable, latent_port_dims) -> ConstraintMatrix:
@@ -315,9 +313,8 @@ def assemble_rom_constraints(pt: PortTable, latent_port_dims) -> ConstraintMatri
                 return np.arange(off, off + d)
         raise KeyError((port.index, i))
 
-    mat, blocks, offsets = _chain_rows(pt, nsub, sizes, position_of)
-    return ConstraintMatrix(matrix=mat, blocks=blocks, block_offsets=offsets,
-                            port_dims=dims, sub_layout=layout)
+    mat, blocks = _chain_rows(pt, nsub, sizes, position_of)
+    return ConstraintMatrix(matrix=mat, blocks=blocks, port_dims=dims)
 
 
 class RestrictedResidual:

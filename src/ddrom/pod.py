@@ -19,7 +19,6 @@ class PodBasis:
     sigma: np.ndarray                  # retained singular values
     discarded_energy: float            # sum of discarded sigma^2
     total_energy: float
-    energy_tol: float | None = None    # nu used for selection, if any
 
     @property
     def n(self) -> int:
@@ -61,7 +60,7 @@ def pod(X: np.ndarray, tol: float | None = None,
 
     return PodBasis(Phi=U[:, :n].copy(), sigma=s[:n].copy(),
                     discarded_energy=float(energies[n:].sum()),
-                    total_energy=total, energy_tol=tol)
+                    total_energy=total)
 
 
 class LinearMap:

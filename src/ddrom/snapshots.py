@@ -61,9 +61,6 @@ class NormalizationStats:
     def normalize(self, X):
         return (X - self._bcast(X, self.shift)) / self._bcast(X, self.scale)
 
-    def denormalize(self, X):
-        return X * self._bcast(X, self.scale) + self._bcast(X, self.shift)
-
     @staticmethod
     def _bcast(X, v):
         return v[:, None] if np.ndim(X) == 2 else v

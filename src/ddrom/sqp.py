@@ -27,18 +27,18 @@ from .errors import ConvergenceError
 
 @dataclass(frozen=True, eq=False)
 class SqpBlock:
-    """One subdomain's evaluators.
+    """One subdomain's block-local evaluation.
 
-    ``residual(x_int, x_gam)`` returns the weighted residual and its two
-    Jacobian blocks ``(Br, B@R_int, B@R_gam)``; ``constraint(x_gam)``
-    returns this block's additive contribution to the coupling constraint
-    and its Jacobian ``(value, jac)``.  Both must be side-effect-free.
+    ``evaluate(x_int, x_gam)`` returns ``(Br, R, c, C)``: the weighted
+    residual, its Jacobian over ``[x_int, x_gam]`` (``rows x (n_int +
+    n_gam)``), this block's additive contribution to the coupling
+    constraint and that contribution's Jacobian in ``x_gam``.  It must be
+    side-effect-free.
     """
 
     n_int: int
     n_gam: int
-    residual: object
-    constraint: object
+    evaluate: object
 
 
 class SqpProblem:
@@ -73,7 +73,6 @@ class SqpConfig:
     backtrack_factor: float = 0.5
     max_halvings: int = 25
     reg_scale: float = 1e-12
-    record_iterates: bool = True
 
     def __post_init__(self):
         if (self.tol <= 0 or self.max_iter < 1 or self.armijo_c1 <= 0
@@ -84,9 +83,7 @@ class SqpConfig:
 @dataclass(eq=False)
 class _BlockEval:
     Br: np.ndarray
-    R_int: np.ndarray
-    R_gam: np.ndarray
-    con_val: np.ndarray
+    R: np.ndarray
     con_jac: np.ndarray
     seconds: float
 
@@ -123,24 +120,22 @@ def eval_gradients(prob: SqpProblem, x: np.ndarray,
     for i, (block, (xi, xg)) in enumerate(zip(prob.blocks, prob.split(x))):
         t0 = time.perf_counter()
         try:
-            Br, R_int, R_gam = block.residual(xi, xg)
-            cval, cjac = block.constraint(xg)
+            Br, R, cval, cjac = block.evaluate(xi, xg)
         except Exception as exc:
             raise RuntimeError(f"evaluation failed in block {i}") from exc
         dt = time.perf_counter() - t0
+        R = np.asarray(R, dtype=float)
         cval = np.asarray(cval, dtype=float)
         cjac = np.atleast_2d(np.asarray(cjac, dtype=float))
         if cval.shape != (prob.n_mult,) or cjac.shape != (prob.n_mult,
                                                           block.n_gam):
             raise ValueError(f"block {i} constraint has inconsistent shape")
         off = prob.offsets[i]
-        rho[off:off + block.n_int] = R_int.T @ Br
-        rho[off + block.n_int:off + block.n_int + block.n_gam] = (
-            R_gam.T @ Br + cjac.T @ lam)
+        grad = R.T @ Br
+        grad[block.n_int:] += cjac.T @ lam
+        rho[off:off + block.n_int + block.n_gam] = grad
         con += cval
-        evals.append(_BlockEval(Br=Br, R_int=np.asarray(R_int, dtype=float),
-                                R_gam=np.asarray(R_gam, dtype=float),
-                                con_val=cval, con_jac=cjac, seconds=dt))
+        evals.append(_BlockEval(Br=Br, R=R, con_jac=cjac, seconds=dt))
     return SqpEval(rho=rho, con=con, blocks=evals,
                    block_max_seconds=max(b.seconds for b in evals),
                    block_sum_seconds=sum(b.seconds for b in evals))
@@ -150,9 +145,8 @@ def _kkt_matrix(prob: SqpProblem, ev: SqpEval) -> np.ndarray:
     n, m = prob.n_primal, prob.n_mult
     K = np.zeros((n + m, n + m))
     for off, block, be in zip(prob.offsets, prob.blocks, ev.blocks):
-        R = np.hstack([be.R_int, be.R_gam])
         w = block.n_int + block.n_gam
-        K[off:off + w, off:off + w] = R.T @ R
+        K[off:off + w, off:off + w] = be.R.T @ be.R
         gs = off + block.n_int
         K[n:, gs:gs + block.n_gam] = be.con_jac
         K[gs:gs + block.n_gam, n:] = be.con_jac.T
@@ -245,7 +239,7 @@ def iterate(prob: SqpProblem, x0, lam0=None,
     merits = [ev.merit]
     objectives = [ev.objective]
     alphas = []
-    iterates = [(x.copy(), lam.copy())] if cfg.record_iterates else []
+    iterates = [(x.copy(), lam.copy())]
     steps = []
     timings = {"block_max": [], "block_sum": [], "kkt": []}
     best = (ev.merit, x.copy(), lam.copy())
@@ -283,9 +277,8 @@ def iterate(prob: SqpProblem, x0, lam0=None,
         merits.append(ev.merit)
         objectives.append(ev.objective)
         alphas.append(alpha)
-        if cfg.record_iterates:
-            iterates.append((x.copy(), lam.copy()))
-            steps.append((s.copy(), s_lam.copy()))
+        iterates.append((x.copy(), lam.copy()))
+        steps.append((s.copy(), s_lam.copy()))
         if ev.merit < best[0]:
             best = (ev.merit, x.copy(), lam.copy())
 

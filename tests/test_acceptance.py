@@ -239,9 +239,9 @@ def test_sqp_converges_in_one_iteration_on_linear_instances():
         Ai, Ag = rng.normal(size=(m, ni)), rng.normal(size=(m, ng))
         b, E = rng.normal(size=m), rng.normal(size=(n_mult, ng))
         d = rng.normal(size=n_mult) / 2.0
-        return SqpBlock(ni, ng,
-                        lambda xi, xg: (Ai @ xi + Ag @ xg - b, Ai, Ag),
-                        lambda xg: (E @ xg - d, E))
+        R = np.hstack([Ai, Ag])
+        return SqpBlock(ni, ng, lambda xi, xg: (Ai @ xi + Ag @ xg - b, R,
+                                                E @ xg - d, E))
 
     iters, backsub = [], 0.0
     for seed in range(5):

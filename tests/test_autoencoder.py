@@ -144,19 +144,6 @@ def test_decoder_jacobian_matches_fd(tag):
     assert np.linalg.norm(fd - J) <= 1e-6 * max(1.0, np.linalg.norm(J))
 
 
-def test_batch_paths_agree_with_single():
-    ae = random_net(20, 2, 2, 3, seed=5)
-    rng = np.random.default_rng(6)
-    Xh = rng.normal(size=(3, 7))
-    Yb = ae.decode_batch(Xh)
-    for k in range(7):
-        assert np.allclose(Yb[:, k], ae.decode(Xh[:, k]), atol=1e-12)
-    X = rng.normal(size=(20, 5))
-    Eb = ae.encode_batch(X)
-    for k in range(5):
-        assert np.allclose(Eb[:, k], ae.encode(X[:, k]), atol=1e-12)
-
-
 def test_decoder_rows_bitwise_invariant_under_subsetting():
     # keeping a subset of output rows must not change any kept value:
     # this is the property hyper-reduction subnets rely on

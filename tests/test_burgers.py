@@ -107,6 +107,37 @@ def test_cdiff_interior_row_sums_vanish():
     np.testing.assert_allclose(row_sums[interior], 0.0, atol=1e-12)
 
 
+def test_grid_operators_shared_per_grid_and_read_only():
+    g = Grid2D(nx=9, ny=4)
+    first = assemble(g, ParameterPoint(10.0, 10.0))
+    again = assemble(Grid2D(nx=9, ny=4), ParameterPoint(3000.0, 20.0))
+    assert not np.array_equal(first.bux, again.bux)
+
+    def d1(n):
+        return sp.diags([-np.ones(n - 1), np.ones(n - 1)], [-1, 1])
+
+    def d2(n):
+        return sp.diags([np.ones(n - 1), -2.0 * np.ones(n), np.ones(n - 1)],
+                        [-1, 0, 1])
+
+    Ix, Iy = sp.identity(g.nx), sp.identity(g.ny)
+    uncached = {
+        "Bx": (-1.0 / (2.0 * g.hx)) * sp.kron(Iy, d1(g.nx)),
+        "By": (-1.0 / (2.0 * g.hy)) * sp.kron(d1(g.ny), Ix),
+        "Cdiff": (g.nu / g.hx**2) * sp.kron(Iy, d2(g.nx))
+        + (g.nu / g.hy**2) * sp.kron(d2(g.ny), Ix),
+    }
+    for name, ref in uncached.items():
+        op = getattr(first, name)
+        assert op is getattr(again, name)
+        np.testing.assert_array_equal(op.toarray(), ref.toarray())
+        for arr in (op.data, op.indices, op.indptr):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[0]
+        with pytest.raises(ValueError, match="read-only"):
+            op *= 2.0
+
+
 def brute_force_residual(grid, p, s):
     """Loop-based stencil evaluation used as an assembly oracle."""
     nx, ny, nu = grid.nx, grid.ny, grid.nu

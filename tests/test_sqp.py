@@ -24,13 +24,11 @@ def linear_block(A_int, A_gam, b, E, d=None):
     """min ||A_int x_int + A_gam x_gam - b||; contributes E x_gam - d."""
     d = np.zeros(E.shape[0]) if d is None else d
 
-    def residual(xi, xg):
-        return A_int @ xi + A_gam @ xg - b, A_int, A_gam
+    def evaluate(xi, xg):
+        return (A_int @ xi + A_gam @ xg - b, np.hstack([A_int, A_gam]),
+                E @ xg - d, E)
 
-    def constraint(xg):
-        return E @ xg - d, E
-
-    return SqpBlock(A_int.shape[1], A_gam.shape[1], residual, constraint)
+    return SqpBlock(A_int.shape[1], A_gam.shape[1], evaluate)
 
 
 def random_linear_problem(seed, n_blocks=2, n_mult=2):
@@ -51,9 +49,8 @@ def global_matrices(prob):
     for block in prob.blocks:
         zi = np.zeros(block.n_int)
         zg = np.zeros(block.n_gam)
-        r0, Ri, Rg = block.residual(zi, zg)
-        c0, E = block.constraint(zg)
-        Rs.append(np.hstack([Ri, Rg]))
+        r0, R, c0, E = block.evaluate(zi, zg)
+        Rs.append(R)
         bs.append(-r0)
         Es.append(np.hstack([np.zeros((c0.size, block.n_int)), E]))
         ds.append(-c0)
@@ -81,11 +78,10 @@ def constrained_lsq_oracle(R, b, E, d):
 def test_zero_residual_zero_multiplier_gives_zero_gradient():
     E = np.ones((1, 2))
 
-    def residual(xi, xg):
-        return np.zeros(3), np.zeros((3, 2)), np.zeros((3, 2))
+    def evaluate(xi, xg):
+        return np.zeros(3), np.zeros((3, 4)), E @ xg * 0.0, E
 
-    prob = SqpProblem(
-        [SqpBlock(2, 2, residual, lambda xg: (E @ xg * 0.0, E))], 1)
+    prob = SqpProblem([SqpBlock(2, 2, evaluate)], 1)
     ev = eval_gradients(prob, np.ones(4), np.zeros(1))
     assert np.array_equal(ev.rho, np.zeros(4))
     assert ev.merit == 0.0
@@ -93,24 +89,21 @@ def test_zero_residual_zero_multiplier_gives_zero_gradient():
 
 def test_gradient_matches_finite_difference_lagrangian():
     # nonlinear residual and nonlinear constraint on a single block
-    def residual(xi, xg):
+    def evaluate(xi, xg):
         x = np.concatenate([xi, xg])
         r = np.array([np.sin(x[0]) + x[1] ** 2, x[0] * x[2], np.cos(x[2])])
         J = np.array([[np.cos(x[0]), 2 * x[1], 0.0],
                       [x[2], 0.0, x[0]],
                       [0.0, 0.0, -np.sin(x[2])]])
-        return r, J[:, :2], J[:, 2:]
+        return (r, J, np.array([xg[0] ** 3 - 1.0]),
+                np.array([[3 * xg[0] ** 2]]))
 
-    def constraint(xg):
-        return np.array([xg[0] ** 3 - 1.0]), np.array([[3 * xg[0] ** 2]])
-
-    prob = SqpProblem([SqpBlock(2, 1, residual, constraint)], 1)
+    prob = SqpProblem([SqpBlock(2, 1, evaluate)], 1)
     x = np.array([0.3, -0.7, 0.9])
     lam = np.array([0.4])
 
     def lagrangian(xv):
-        r, *_ = prob.blocks[0].residual(xv[:2], xv[2:])
-        c, _ = prob.blocks[0].constraint(xv[2:])
+        r, _, c, _ = prob.blocks[0].evaluate(xv[:2], xv[2:])
         return 0.5 * r @ r + lam @ c
 
     ev = eval_gradients(prob, x, lam)
@@ -140,7 +133,7 @@ def test_block_errors_carry_index():
         raise FloatingPointError("boom")
 
     ok = linear_block(np.eye(2), np.eye(2), np.zeros(2), np.ones((1, 2)))
-    prob = SqpProblem([ok, SqpBlock(2, 2, bad, ok.constraint)], 1)
+    prob = SqpProblem([ok, SqpBlock(2, 2, bad)], 1)
     with pytest.raises(RuntimeError, match="block 1"):
         eval_gradients(prob, np.zeros(8), np.zeros(1))
 
@@ -241,19 +234,16 @@ def test_start_at_kkt_point_runs_zero_iterations():
 def test_armijo_guarantee_on_accepted_steps():
     cfg = SqpConfig(tol=1e-12, max_iter=10)
 
-    def residual(xi, xg):
+    def evaluate(xi, xg):
         x = np.concatenate([xi, xg])
         r = np.array([np.exp(x[0]) - 1.0, 5 * np.sin(x[1]), x[0] * x[1]])
         J = np.array([[np.exp(x[0]), 0.0],
                       [0.0, 5 * np.cos(x[1])],
                       [x[1], x[0]]])
-        return r, J[:, :1], J[:, 1:]
+        return (r, J, np.array([np.tanh(xg[0])]),
+                np.array([[1.0 / np.cosh(xg[0]) ** 2]]))
 
-    def constraint(xg):
-        return np.array([np.tanh(xg[0])]), np.array(
-            [[1.0 / np.cosh(xg[0]) ** 2]])
-
-    prob = SqpProblem([SqpBlock(1, 1, residual, constraint)], 1)
+    prob = SqpProblem([SqpBlock(1, 1, evaluate)], 1)
     res = iterate(prob, np.array([0.8, -0.6]), cfg=cfg)
     assert res.failure_reason is None
     for k, alpha in enumerate(res.alpha_history):
@@ -268,8 +258,8 @@ def test_linear_constraint_feasibility_preserved():
     E1 = rng.normal(size=(2, 3))
     E2 = rng.normal(size=(2, 3))
 
-    def make_residual(c):
-        def residual(xi, xg):
+    def make_evaluate(c, E):
+        def evaluate(xi, xg):
             x = np.concatenate([xi, xg])
             r = np.array([x[0] ** 2 - c, x[1] * x[3], np.sin(x[4]),
                           x[2] - x[0]])
@@ -278,11 +268,11 @@ def test_linear_constraint_feasibility_preserved():
             J[1, 1], J[1, 3] = x[3], x[1]
             J[2, 4] = np.cos(x[4])
             J[3, 2], J[3, 0] = 1.0, -1.0
-            return r, J[:, :2], J[:, 2:]
-        return residual
+            return r, J, E @ xg, E
+        return evaluate
 
-    blocks = [SqpBlock(2, 3, make_residual(0.5), lambda xg: (E1 @ xg, E1)),
-              SqpBlock(2, 3, make_residual(1.5), lambda xg: (E2 @ xg, E2))]
+    blocks = [SqpBlock(2, 3, make_evaluate(0.5, E1)),
+              SqpBlock(2, 3, make_evaluate(1.5, E2))]
     prob = SqpProblem(blocks, 2)
     x0 = np.zeros(prob.n_primal)       # E1@0 + E2@0 = 0: feasible
     res = iterate(prob, x0, cfg=SqpConfig(tol=1e-8, max_iter=12))
@@ -292,15 +282,13 @@ def test_linear_constraint_feasibility_preserved():
 
 
 def test_line_search_failure_returns_best_iterate_with_flag():
-    def residual(xi, xg):
+    def evaluate(xi, xg):
         x = xi[0]
         return (np.array([np.sin(3 * x) + 0.1 * x]),
                 np.array([[3 * np.cos(3 * x) + 0.1]]),
-                np.zeros((1, 0)))
+                np.zeros(0), np.zeros((0, 0)))
 
-    prob = SqpProblem(
-        [SqpBlock(1, 0, residual, lambda xg: (np.zeros(0),
-                                              np.zeros((0, 0))))], 0)
+    prob = SqpProblem([SqpBlock(1, 0, evaluate)], 0)
     cfg = SqpConfig(tol=1e-10, max_halvings=0)
     res = iterate(prob, np.array([0.5]), cfg=cfg)
     assert not res.converged
@@ -334,9 +322,12 @@ def test_diagnostics_zero_for_linear_problem():
 
 
 def test_diagnostics_require_recorded_steps():
+    # a run that starts at the KKT point records no step
     prob, _ = random_linear_problem(25)
-    res = iterate(prob, np.zeros(prob.n_primal),
-                  cfg=SqpConfig(tol=1e-10, record_iterates=False))
+    cfg = SqpConfig(tol=1e-10)
+    first = iterate(prob, np.zeros(prob.n_primal), cfg=cfg)
+    res = iterate(prob, first.x, first.lam, cfg=cfg)
+    assert res.n_iter == 0 and not res.steps
     with pytest.raises(ValueError):
         convergence_diagnostics(prob, res)
 
@@ -359,17 +350,11 @@ def dd_fom():
         rr = RestrictedResidual(ops, sub.res_rows, np.concatenate(
             [sub.interior_cols, sub.interface_cols]))
 
-        def residual(xi, xg, rr=rr, n_int=sub.n_interior):
+        def evaluate(xi, xg, rr=rr, Ei_sp=Ei_sp, Ei=Ei):
             x = np.concatenate([xi, xg])
-            J = rr.jacobian(x)
-            return (rr.residual(x), J[:, :n_int].toarray(),
-                    J[:, n_int:].toarray())
+            return rr.residual(x), rr.jacobian(x).toarray(), Ei_sp @ xg, Ei
 
-        def constraint(xg, Ei_sp=Ei_sp, Ei=Ei):
-            return Ei_sp @ xg, Ei
-
-        blocks.append(SqpBlock(sub.n_interior, sub.n_interface,
-                               residual, constraint))
+        blocks.append(SqpBlock(sub.n_interior, sub.n_interface, evaluate))
     prob = SqpProblem(blocks, A.n_rows)
     x0 = np.concatenate([
         np.concatenate([exact_state(grid, p)[sub.interior_cols],

@@ -27,6 +27,11 @@ from scipy.special import expit
 from .errors import ConvergenceError
 from .snapshots import NormalizationStats, split_columns
 
+BATCH_SIZE = 32         # snapshot columns per Adam mini-batch
+LEARNING_RATE = 1e-3    # initial Adam step size
+PLATEAU_FACTOR = 0.1    # learning-rate factor per validation plateau
+VAL_FRACTION = 0.1      # share of snapshot columns held out for validation
+
 
 def _act(tag, z):
     if tag == "swish":
@@ -165,20 +170,16 @@ class Autoencoder:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimizer protocol knobs (Adam, plateau LR schedule, early stop)."""
+    """Training length, schedule patiences and seed (Adam: see above)."""
 
     epochs: int = 2000
-    batch_size: int = 32
-    lr: float = 1e-3
     plateau_patience: int = 50
-    plateau_factor: float = 0.1
     early_stop_patience: int = 300
     seed: int = 0
-    val_fraction: float = 0.1
 
     def __post_init__(self):
-        if min(self.epochs, self.batch_size, self.plateau_patience,
-               self.early_stop_patience) < 1 or self.lr <= 0:
+        if min(self.epochs, self.plateau_patience,
+               self.early_stop_patience) < 1:
             raise ValueError("training configuration values must be positive")
 
 
@@ -242,7 +243,7 @@ def train(X: np.ndarray, mask: BandedMask, n: int,
         raise ValueError("latent dimension must satisfy 1 <= n < N")
 
     train_idx, val_idx = split_columns(n_mu, cfg.seed,
-                                       1.0 - cfg.val_fraction)
+                                       1.0 - VAL_FRACTION)
     norm = NormalizationStats.from_snapshots(X[:, train_idx])
     Xn = norm.normalize(X)
     Xtr = Xn[:, train_idx]
@@ -258,7 +259,7 @@ def train(X: np.ndarray, mask: BandedMask, n: int,
     h_cols = ae.W1h.indices
 
     params = [ae.W2g.data, ae.W1h.data, ae.W2h, ae.W1g, ae.b1g, ae.b1h]
-    opt = _Adam([p.shape for p in params], cfg.lr)
+    opt = _Adam([p.shape for p in params], LEARNING_RATE)
 
     def forward_loss(Xb):
         Z1 = ae.W1h @ Xb + ae.b1h[:, None]
@@ -297,8 +298,8 @@ def train(X: np.ndarray, mask: BandedMask, n: int,
     for epoch in range(cfg.epochs):
         order = rng.permutation(Xtr.shape[1])
         epoch_loss = 0.0
-        for start in range(0, order.size, cfg.batch_size):
-            batch = Xtr[:, order[start:start + cfg.batch_size]]
+        for start in range(0, order.size, BATCH_SIZE):
+            batch = Xtr[:, order[start:start + BATCH_SIZE]]
             loss, cache = forward_loss(batch)
             if not np.isfinite(loss):
                 raise ConvergenceError(
@@ -323,7 +324,7 @@ def train(X: np.ndarray, mask: BandedMask, n: int,
             since_improve += 1
             since_plateau += 1
         if since_plateau >= cfg.plateau_patience:
-            opt.lr *= cfg.plateau_factor
+            opt.lr *= PLATEAU_FACTOR
             since_plateau = 0
         if since_improve >= cfg.early_stop_patience:
             break

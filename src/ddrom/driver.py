@@ -40,6 +40,8 @@ from .pod import LinearMap, pod, port_interface_basis
 from .sqp import SqpBlock, SqpConfig, SqpProblem, SqpResult, eval_gradients, \
     iterate
 
+BOUND_REL_SCALE = 0.05  # verify_bounds' latent perturbation, relative
+
 
 def port_latent_dims(port_table, n_request: int) -> dict:
     """Per-port latent dims: the requested size, capped below the port
@@ -120,10 +122,10 @@ class RomInstance:
                 raise ValueError(f"interface map {i} has wrong ambient dim")
         if self.constraint_mode not in ("wfpc", "srpc"):
             raise ValueError("constraint mode must be 'wfpc' or 'srpc'")
-        if self.fom_constraints is None:
-            self.fom_constraints = assemble_fom_constraints(part.ports)
         if self.constraint_mode == "wfpc" and self.wfpc_C is None:
             raise ValueError("wfpc mode needs a test matrix C")
+        if self.constraint_mode == "wfpc" and self.fom_constraints is None:
+            self.fom_constraints = assemble_fom_constraints(part.ports)
         if self.constraint_mode == "srpc" and self.rom_constraints is None:
             raise ValueError("srpc mode needs assembled ROM constraints")
 
@@ -590,7 +592,7 @@ def solve_rom(instance: RomInstance, p: ParameterPoint,
         speedup=fom_seconds / parallel if parallel > 0 else np.nan,
         n_iter=res.n_iter, converged=res.converged,
         final_merit=res.final_merit,
-        status="ok" if res.failure_reason is None else res.failure_reason,
+        status=res.failure_reason or ("ok" if res.converged else "max_iter"),
         online_seconds=online_seconds)
     return RomSolution(x_latent=res.x, lam=res.lam, states=states, sqp=res,
                        error=error), record
@@ -650,7 +652,7 @@ class BoundDiagnostics:
 def verify_bounds(instance: RomInstance, p: ParameterPoint,
                   n_samples: int = 100, seed: int = 0,
                   cfg: SqpConfig = SqpConfig(), *, solution=None,
-                  fom_state=None, rel_scale: float = 0.05):
+                  fom_state=None):
     """Sampled estimates of the inverse-Lipschitz residual bound.
 
     All constants come from random sampling around the solved state, so
@@ -685,7 +687,7 @@ def verify_bounds(instance: RomInstance, p: ParameterPoint,
 
     # sample on the set the bound quantifies over: the FOM solution plus
     # decoded latent perturbations around the ROM solution
-    lat_scale = rel_scale * max(np.linalg.norm(solution.x_latent), 1.0) \
+    lat_scale = BOUND_REL_SCALE * max(np.linalg.norm(solution.x_latent), 1.0) \
         / np.sqrt(solution.x_latent.size)
     points = [x_dd]
     for _ in range(n_samples):

@@ -14,12 +14,12 @@ needs; by construction they reproduce those rows bitwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
 
-from .autoencoder import Autoencoder, _act, _act_deriv
+from .autoencoder import Autoencoder
 
 
 def greedy_sample(basis: np.ndarray, n_samples: int) -> np.ndarray:
@@ -130,41 +130,17 @@ def hr_gappy(rows, basis: np.ndarray) -> HrOperator:
                       basis=basis, weights=np.linalg.pinv(sampled))
 
 
-@dataclass(frozen=True, eq=False)
-class Subnet:
-    """Decoder restricted to output rows ``out_idx``; exact on those rows."""
+@dataclass(eq=False)
+class Subnet(Autoencoder):
+    """Decoder restricted to output rows ``out_idx`` (and the hidden units
+    ``hidden_idx`` they use); exact on those rows.  Encoder fields: None."""
 
-    out_idx: np.ndarray = field(repr=False)
-    hidden_idx: np.ndarray = field(repr=False)
-    W2: sp.csr_matrix = field(repr=False)
-    W1: np.ndarray = field(repr=False)
-    b1: np.ndarray = field(repr=False)
-    shift: np.ndarray = field(repr=False)
-    scale: np.ndarray = field(repr=False)
-    activation: str = "swish"
+    out_idx: np.ndarray = field(default=None, repr=False)
+    hidden_idx: np.ndarray = field(default=None, repr=False)
 
-    @property
-    def latent_dim(self) -> int:
-        return self.W1.shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.out_idx.size
-
-    def _hidden(self, xhat):
-        z = self.b1.copy()
-        for d in range(self.W1.shape[1]):
-            z += self.W1[:, d] * xhat[d]
-        return z
-
-    def decode(self, xhat: np.ndarray) -> np.ndarray:
-        a = _act(self.activation, self._hidden(np.asarray(xhat, dtype=float)))
-        return (self.W2 @ a) * self.scale + self.shift
-
-    def jacobian(self, xhat: np.ndarray) -> np.ndarray:
-        zp = _act_deriv(self.activation,
-                        self._hidden(np.asarray(xhat, dtype=float)))
-        return (self.W2 @ (zp[:, None] * self.W1)) * self.scale[:, None]
+    # own bindings of the inherited functions, wrappable on this class
+    decode = Autoencoder.decode
+    jacobian = Autoencoder.jacobian
 
 
 def extract_subnet(ae: Autoencoder, out_idx) -> Subnet:
@@ -183,13 +159,14 @@ def extract_subnet(ae: Autoencoder, out_idx) -> Subnet:
     hidden_idx = np.unique(rows.indices)
     # remap column indices in place: storage order (and therefore the
     # floating-point accumulation order of each row) is unchanged
-    W2 = sp.csr_matrix(
+    W2g = sp.csr_matrix(
         (rows.data, np.searchsorted(hidden_idx, rows.indices), rows.indptr),
         shape=(out_idx.size, hidden_idx.size))
-    return Subnet(out_idx=out_idx, hidden_idx=hidden_idx, W2=W2,
-                  W1=ae.W1g[hidden_idx, :], b1=ae.b1g[hidden_idx],
-                  shift=ae.norm.shift[out_idx], scale=ae.norm.scale[out_idx],
-                  activation=ae.activation)
+    return Subnet(W1h=None, b1h=None, W2h=None, W1g=ae.W1g[hidden_idx, :],
+                  b1g=ae.b1g[hidden_idx], W2g=W2g, activation=ae.activation,
+                  norm=replace(ae.norm, shift=ae.norm.shift[out_idx],
+                               scale=ae.norm.scale[out_idx]),
+                  out_idx=out_idx, hidden_idx=hidden_idx)
 
 
 def hr_rows_for_subdomain(partition, i: int, sample_rows):

@@ -143,38 +143,35 @@ def partition_from_pattern(pattern: sp.spmatrix, row_owner: np.ndarray):
     if np.any(counts == 0):
         raise ValueError("degenerate subdomain with zero residual rows")
 
-    # sharing set of every column: owners of the rows that reference it
-    csc = pattern.tocsc()
-    sharing = [None] * n
-    for c in range(n):
-        rows = csc.indices[csc.indptr[c]:csc.indptr[c + 1]]
-        sharing[c] = tuple(sorted(set(row_owner[rows].tolist())))
-        if not sharing[c]:
-            raise ValueError(f"column {c} referenced by no residual row")
+    # share[c, i]: some row of subdomain i references column c (structural
+    # entries, explicit zeros included)
+    refs = sp.csr_matrix((np.ones(pattern.nnz), pattern.indices,
+                          pattern.indptr), shape=(n, n))
+    owner = sp.csr_matrix((np.ones(n), (np.arange(n), row_owner)),
+                          shape=(n, nsub))
+    share = (refs.T @ owner).toarray() > 0
+    n_sharing = share.sum(axis=1)
+    if np.any(n_sharing == 0):
+        raise ValueError(f"column {int(np.argmax(n_sharing == 0))} "
+                         "referenced by no residual row")
+    shared = n_sharing > 1
 
-    subdomains = []
-    for i in range(nsub):
-        interior = np.array([c for c in range(n) if sharing[c] == (i,)],
-                            dtype=np.int64)
-        interface = np.array(
-            [c for c in range(n) if len(sharing[c]) > 1 and i in sharing[c]],
-            dtype=np.int64)
-        subdomains.append(Subdomain(
-            index=i,
-            res_rows=np.flatnonzero(row_owner == i).astype(np.int64),
-            interior_cols=interior,
-            interface_cols=interface,
-        ))
+    subdomains = [Subdomain(
+        index=i,
+        res_rows=np.flatnonzero(row_owner == i).astype(np.int64),
+        interior_cols=np.flatnonzero(share[:, i] & ~shared),
+        interface_cols=np.flatnonzero(share[:, i] & shared),
+    ) for i in range(nsub)]
 
     # ports: group shared columns by their exact sharing set; ids ordered by
     # each group's smallest column so the numbering is deterministic
-    groups = {}
-    for c in range(n):
-        if len(sharing[c]) > 1:
-            groups.setdefault(sharing[c], []).append(c)
-    ordered = sorted(groups.items(), key=lambda kv: kv[1][0])
-    ports = [Port(index=j, cols=np.array(cols, dtype=np.int64), members=mem)
-             for j, (mem, cols) in enumerate(ordered)]
+    shared_cols = np.flatnonzero(shared)
+    sets, first, group = np.unique(share[shared], axis=0, return_index=True,
+                                   return_inverse=True)
+    group = group.ravel()
+    ports = [Port(index=j, cols=shared_cols[group == g],
+                  members=tuple(np.flatnonzero(sets[g]).tolist()))
+             for j, g in enumerate(np.argsort(first))]
 
     table = PortTable(ports, subdomains)
     table.validate()

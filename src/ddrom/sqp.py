@@ -24,6 +24,10 @@ import scipy.linalg
 
 from .errors import ConvergenceError
 
+ARMIJO_C1 = 1e-4    # sufficient-decrease constant of the line search
+REG_SCALE = 1e-12   # KKT fallback regularization, relative to trace(R'R)
+FD_STEP = 1e-6      # convergence_diagnostics' finite-difference step
+
 
 @dataclass(frozen=True, eq=False)
 class SqpBlock:
@@ -69,13 +73,11 @@ class SqpProblem:
 class SqpConfig:
     tol: float = 1e-4
     max_iter: int = 15
-    armijo_c1: float = 1e-4
     backtrack_factor: float = 0.5
     max_halvings: int = 25
-    reg_scale: float = 1e-12
 
     def __post_init__(self):
-        if (self.tol <= 0 or self.max_iter < 1 or self.armijo_c1 <= 0
+        if (self.tol <= 0 or self.max_iter < 1
                 or not 0 < self.backtrack_factor < 1 or self.max_halvings < 0):
             raise ValueError("invalid solver configuration")
 
@@ -153,8 +155,7 @@ def _kkt_matrix(prob: SqpProblem, ev: SqpEval) -> np.ndarray:
     return K
 
 
-def assemble_and_solve_kkt(prob: SqpProblem, ev: SqpEval,
-                           reg_scale: float = 1e-12):
+def assemble_and_solve_kkt(prob: SqpProblem, ev: SqpEval):
     """Solve the block-arrow saddle-point system for the SQP step.
 
     Dense LU with one round of iterative refinement; the back-substitution
@@ -184,7 +185,7 @@ def assemble_and_solve_kkt(prob: SqpProblem, ev: SqpEval,
     except scipy.linalg.LinAlgError:
         sol, res, pivot, ok = None, np.inf, 0.0, False
     if not ok:
-        delta = reg_scale * max(np.trace(K[:n, :n]), 1.0)
+        delta = REG_SCALE * max(np.trace(K[:n, :n]), 1.0)
         warnings.warn(
             f"KKT solve needed +{delta:.3e} regularization "
             f"(smallest pivot {pivot:.3e})", RuntimeWarning, stacklevel=2)
@@ -241,16 +242,15 @@ def iterate(prob: SqpProblem, x0, lam0=None,
     alphas = []
     iterates = [(x.copy(), lam.copy())]
     steps = []
-    timings = {"block_max": [], "block_sum": [], "kkt": []}
+    timings = {"block_max": [], "kkt": []}
     best = (ev.merit, x.copy(), lam.copy())
     failure = None
 
     n_iter = 0
     while merits[-1] >= cfg.tol and n_iter < cfg.max_iter:
         t_par = ev.block_max_seconds
-        t_sum = ev.block_sum_seconds
         t0 = time.perf_counter()
-        s, s_lam = assemble_and_solve_kkt(prob, ev, cfg.reg_scale)
+        s, s_lam = assemble_and_solve_kkt(prob, ev)
         t_kkt = time.perf_counter() - t0
 
         alpha = 1.0
@@ -258,13 +258,11 @@ def iterate(prob: SqpProblem, x0, lam0=None,
         for _ in range(cfg.max_halvings + 1):
             trial = eval_gradients(prob, x + alpha * s, lam + alpha * s_lam)
             t_par += trial.block_max_seconds
-            t_sum += trial.block_sum_seconds
-            if trial.merit <= (1.0 - cfg.armijo_c1 * alpha) * merits[-1]:
+            if trial.merit <= (1.0 - ARMIJO_C1 * alpha) * merits[-1]:
                 accepted = trial
                 break
             alpha *= cfg.backtrack_factor
         timings["block_max"].append(t_par)
-        timings["block_sum"].append(t_sum)
         timings["kkt"].append(t_kkt)
         if accepted is None:
             failure = "line_search"
@@ -292,8 +290,7 @@ def iterate(prob: SqpProblem, x0, lam0=None,
                      timings=timings)
 
 
-def convergence_diagnostics(prob: SqpProblem, result: SqpResult,
-                            fd_step: float = 1e-6) -> dict:
+def convergence_diagnostics(prob: SqpProblem, result: SqpResult) -> dict:
     """Report-only convergence measures from a recorded run.
 
     ``eta`` estimates the Gauss-Newton inexactness per accepted step as
@@ -309,7 +306,7 @@ def convergence_diagnostics(prob: SqpProblem, result: SqpResult,
     etas = []
     for (xk, lamk), (s, _) in zip(result.iterates, result.steps):
         ev = eval_gradients(prob, xk, lamk)
-        h = fd_step / max(np.linalg.norm(s), 1e-300)
+        h = FD_STEP / max(np.linalg.norm(s), 1e-300)
         plus = eval_gradients(prob, xk + h * s, lamk)
         minus = eval_gradients(prob, xk - h * s, lamk)
         Hs_true = (plus.rho - minus.rho) / (2.0 * h)

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddrom.autoencoder import (
+    LEARNING_RATE,
+    PLATEAU_FACTOR,
     Autoencoder,
     BandedMask,
     TrainConfig,
@@ -270,9 +272,9 @@ def test_training_lr_drops_on_plateau():
                       early_stop_patience=400)
     _, history = train(X, mask, n=2, cfg=cfg)
     lrs = sorted(set(history["lr"]), reverse=True)
-    assert lrs[0] == cfg.lr
+    assert lrs[0] == LEARNING_RATE
     if len(lrs) > 1:
-        assert np.isclose(lrs[1], cfg.lr * cfg.plateau_factor)
+        assert np.isclose(lrs[1], LEARNING_RATE * PLATEAU_FACTOR)
 
 
 def test_training_raises_on_nonfinite_loss():
@@ -294,7 +296,7 @@ def test_training_input_validation():
     with pytest.raises(ValueError):
         train(X[:, :1], mask, n=2)
     with pytest.raises(ValueError):
-        TrainConfig(lr=-1.0)
+        TrainConfig(epochs=0)
 
 
 # -- SRPC interface assembly ---------------------------------------------

@@ -236,7 +236,7 @@ def test_lsrom_srpc_solves_and_matches_wfpc_scale(desk, ls_wfpc, ls_srpc):
 
 def test_srpc_decoded_compatibility_lsrom(desk, ls_srpc):
     _, part, snap = desk
-    A = ls_srpc.fom_constraints
+    A = assemble_fom_constraints(part.ports)
     Ahat = ls_srpc.rom_constraints
     rng = np.random.default_rng(4)
     # draw one latent block per port and give every member the same copy:
@@ -259,7 +259,7 @@ def test_srpc_decoded_compatibility_nmrom(desk):
     _, part, snap = desk
     nm = build_nmrom(part, snap, n_int=4, n_gam=3, constraint="srpc",
                      train_cfg=TrainConfig(epochs=2, seed=9))
-    A = nm.fom_constraints
+    A = assemble_fom_constraints(part.ports)
     Ahat = nm.rom_constraints
     rng = np.random.default_rng(5)
     for _ in range(5):
@@ -670,3 +670,23 @@ def test_solve_failure_reported_not_raised(desk, ls_wfpc):
                        SqpConfig(tol=1e-14, max_iter=2))
     assert not rec.converged
     assert rec.n_iter == 2
+    assert rec.status == "max_iter"
+
+
+def test_benchmark_sweep_leaves_unconverged_runs_out(desk, ls_wfpc,
+                                                     tmp_path):
+    _, _, snap = desk
+    recs = benchmark_sweep({"ls-wfpc": ls_wfpc}, [snap.params[7]], tmp_path,
+                           SqpConfig(tol=1e-12, max_iter=1))
+    assert [(r.status, r.converged) for r in recs] == [("max_iter", False)]
+    with open(tmp_path / "records.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[1][rows[0].index("status")] == "max_iter"
+    with open(tmp_path / "pareto.csv") as fh:
+        prow = list(csv.reader(fh))
+    assert prow[1] == ["ls-wfpc", "", "", "", "", "", "", "0"]
+
+
+def test_srpc_instances_carry_no_fom_constraints(ls_wfpc, ls_srpc):
+    assert ls_srpc.fom_constraints is None
+    assert ls_wfpc.fom_constraints.n_rows == ls_wfpc.wfpc_C.shape[1]

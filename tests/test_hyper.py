@@ -5,10 +5,11 @@ import itertools
 import numpy as np
 import pytest
 
-from ddrom.autoencoder import build_mask, _init_autoencoder
+from ddrom.autoencoder import Autoencoder, build_mask, _init_autoencoder
 from ddrom.burgers import Grid2D, assemble, exact_state
 from ddrom.hyper import (
     HrOperator,
+    Subnet,
     extract_subnet,
     greedy_sample,
     hr_collocation,
@@ -207,7 +208,22 @@ def test_subnet_jacobian_rows_match():
     keep = np.array([2, 9, 17, 33])
     sub = extract_subnet(ae, keep)
     xh = np.random.default_rng(15).normal(size=4)
-    assert np.allclose(sub.jacobian(xh), ae.jacobian(xh)[keep], atol=1e-13)
+    assert np.array_equal(sub.jacobian(xh), ae.jacobian(xh)[keep])
+
+
+def test_subnet_is_a_row_restricted_autoencoder():
+    # one decoder implementation: the subnet binds the autoencoder's own
+    # evaluation functions, under the autoencoder's field names
+    assert Subnet.decode is Autoencoder.decode
+    assert Subnet.jacobian is Autoencoder.jacobian
+    ae = make_net(18)
+    keep = np.array([5, 6, 21])
+    sub = extract_subnet(ae, keep)
+    assert isinstance(sub, Autoencoder)
+    assert sub.W1h is None and sub.b1h is None and sub.W2h is None
+    assert sub.ambient_dim == keep.size and sub.latent_dim == ae.latent_dim
+    np.testing.assert_array_equal(sub.norm.scale, ae.norm.scale[keep])
+    np.testing.assert_array_equal(sub.norm.shift, ae.norm.shift[keep])
 
 
 def test_subnet_hidden_set_bound():

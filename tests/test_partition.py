@@ -153,6 +153,57 @@ def test_degenerate_subdomain_rejected():
         partition_from_pattern(pattern, owner)
 
 
+def loop_partition(pattern, row_owner):
+    """The per-column loop ``partition_from_pattern`` replaced: returns
+    ``(interior, interface, ports)`` with ports as ``(cols, members)``."""
+    csc = sp.csc_matrix(pattern)
+    n = csc.shape[0]
+    nsub = int(row_owner.max()) + 1
+    sharing = [tuple(sorted(set(row_owner[
+        csc.indices[csc.indptr[c]:csc.indptr[c + 1]]].tolist())))
+        for c in range(n)]
+    interior = [np.array([c for c in range(n) if sharing[c] == (i,)],
+                         dtype=np.int64) for i in range(nsub)]
+    interface = [np.array([c for c in range(n)
+                           if len(sharing[c]) > 1 and i in sharing[c]],
+                          dtype=np.int64) for i in range(nsub)]
+    groups = {}
+    for c in range(n):
+        if len(sharing[c]) > 1:
+            groups.setdefault(sharing[c], []).append(c)
+    ordered = sorted(groups.items(), key=lambda kv: kv[1][0])
+    ports = [(np.array(cols, dtype=np.int64), mem) for mem, cols in ordered]
+    return interior, interface, ports
+
+
+@pytest.mark.parametrize("nx, ny, nsx, nsy", [
+    (60, 8, 2, 2), (120, 12, 2, 2), (24, 6, 3, 2), (240, 24, 4, 3),
+    (16, 4, 2, 1), (8, 6, 2, 2)])
+def test_partition_matches_per_column_loop(nx, ny, nsx, nsy):
+    part = build_partition(Grid2D(nx=nx, ny=ny), nsx, nsy)
+    interior, interface, ports = loop_partition(part.pattern, part.row_owner)
+    for sub, ref_int, ref_gam in zip(part.subdomains, interior, interface):
+        for got, ref in ((sub.interior_cols, ref_int),
+                         (sub.interface_cols, ref_gam)):
+            assert got.dtype == ref.dtype
+            np.testing.assert_array_equal(got, ref)
+        assert sub.res_rows.dtype == np.int64
+        np.testing.assert_array_equal(
+            sub.res_rows, np.flatnonzero(part.row_owner == sub.index))
+    assert len(part.ports.ports) == len(ports)
+    for j, (port, (cols, members)) in enumerate(zip(part.ports.ports, ports)):
+        assert port.index == j and port.members == members
+        assert all(type(m) is int for m in port.members)
+        assert port.cols.dtype == cols.dtype
+        np.testing.assert_array_equal(port.cols, cols)
+
+
+def test_unreferenced_column_rejected():
+    pattern = sp.csr_matrix(np.array([[1, 0, 0], [0, 0, 1], [1, 0, 1]]))
+    with pytest.raises(ValueError, match="column 1 referenced by no"):
+        partition_from_pattern(pattern, np.array([0, 1, 1]))
+
+
 @settings(max_examples=25, deadline=None)
 @given(nx=st.integers(4, 9), ny=st.integers(2, 5),
        nsx=st.integers(1, 3), nsy=st.integers(1, 2))

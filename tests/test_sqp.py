@@ -9,6 +9,7 @@ from ddrom.errors import ConvergenceError
 from ddrom.partition import RestrictedResidual, assemble_fom_constraints, \
     build_partition
 from ddrom.sqp import (
+    ARMIJO_C1,
     SqpBlock,
     SqpConfig,
     SqpProblem,
@@ -249,7 +250,7 @@ def test_armijo_guarantee_on_accepted_steps():
     for k, alpha in enumerate(res.alpha_history):
         assert 0 < alpha <= 1
         assert res.merit_history[k + 1] <= (
-            1 - cfg.armijo_c1 * alpha) * res.merit_history[k] + 1e-15
+            1 - ARMIJO_C1 * alpha) * res.merit_history[k] + 1e-15
 
 
 def test_linear_constraint_feasibility_preserved():

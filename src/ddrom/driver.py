@@ -25,6 +25,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.interpolate import RBFInterpolator
 
 from .autoencoder import TrainConfig, assemble_srpc_interface, build_mask, \
@@ -163,9 +164,9 @@ def build_dd_fom(partition: Partition) -> RomInstance:
     A = assemble_fom_constraints(partition.ports)
     return RomInstance(
         partition=partition,
-        interior_maps=[LinearMap(np.eye(s.n_interior))
+        interior_maps=[LinearMap(sp.identity(s.n_interior, format="csr"))
                        for s in partition.subdomains],
-        interface_maps=[LinearMap(np.eye(s.n_interface))
+        interface_maps=[LinearMap(sp.identity(s.n_interface, format="csr"))
                         for s in partition.subdomains],
         constraint_mode="wfpc", fom_constraints=A,
         wfpc_C=np.eye(A.n_rows),
@@ -356,13 +357,29 @@ def _restrict_map(m, rows):
     return extract_subnet(m, rows)
 
 
+def _sparse_jacobian(m):
+    """``m``'s Jacobian if it is constant and sparse (a ``LinearMap`` over a
+    sparse ``Phi``), else ``None``."""
+    if isinstance(m, LinearMap) and sp.issparse(m.Phi):
+        return m.Phi
+    return None
+
+
+def _dense(a) -> np.ndarray:
+    return a.toarray() if sp.issparse(a) else np.asarray(a)
+
+
 def _block_structure(instance: RomInstance, i: int, ops: FomOperators):
     """Everything subdomain ``i``'s residual and constraint need that does
-    not depend on the parameter: ``(hr, restricted, sub_int, gam, coupling)``.
+    not depend on the parameter:
+    ``(hr, restricted, sub_int, gam, coupling, sparse, M)``.
 
     ``gam`` is the interface outputs the residual reads off the full
     decode (WFPC) or the interface map restricted to them (SRPC);
     ``coupling`` is ``C A_i`` (WFPC) or the dense ROM constraint block.
+    ``sparse`` says both maps are linear with sparse Jacobians; ``M`` is
+    then their constant ``blockdiag(J_int, J_gam)`` as CSR, or ``None``
+    when it is the identity (the decomposed FOM).
     """
     part = instance.partition
     sub = part.subdomains[i]
@@ -375,11 +392,22 @@ def _block_structure(instance: RomInstance, i: int, ops: FomOperators):
     if instance.constraint_mode == "wfpc":
         # the constraint needs every interface trace entry, so the residual
         # reads its rows off the same full decode
-        return (hr, restricted, sub_int, gio,
-                instance.wfpc_C @ instance.fom_constraints.blocks[i].toarray())
-    return (hr, restricted, sub_int,
-            _restrict_map(instance.interface_maps[i], gio),
-            instance.rom_constraints.blocks[i].toarray())
+        gam = gio
+        J_gam = _sparse_jacobian(instance.interface_maps[i])
+        J_gam = J_gam[gio] if J_gam is not None else None
+        coupling = (instance.wfpc_C
+                    @ instance.fom_constraints.blocks[i].toarray())
+    else:
+        gam = _restrict_map(instance.interface_maps[i], gio)
+        J_gam = _sparse_jacobian(gam)
+        coupling = instance.rom_constraints.blocks[i].toarray()
+    J_int = _sparse_jacobian(sub_int)
+    sparse = J_int is not None and J_gam is not None
+    M = sp.block_diag([J_int, J_gam], format="csr") if sparse else None
+    if sparse and M.shape[0] == M.shape[1] and not (
+            M != sp.identity(M.shape[0])).nnz:
+        M = None
+    return hr, restricted, sub_int, gam, coupling, sparse, M
 
 
 def build_problem(instance: RomInstance, ops: FomOperators) -> SqpProblem:
@@ -389,6 +417,8 @@ def build_problem(instance: RomInstance, ops: FomOperators) -> SqpProblem:
     rows without HR) from only the decoder outputs those rows reference.
     The parameter-independent structure is built at the instance's first
     call and reused; each call binds only the boundary data of ``ops``.
+    A block whose two maps are sparse linear maps returns its Jacobian as
+    CSR, which puts the SQP on its sparse KKT path; all others are dense.
     """
     part = instance.partition
     if ops.grid != part.grid:
@@ -399,30 +429,40 @@ def build_problem(instance: RomInstance, ops: FomOperators) -> SqpProblem:
                                for i in range(part.n_sub)]
     wfpc = instance.constraint_mode == "wfpc"
     blocks = []
-    for i, (hr, restricted, sub_int, gam, coupling) in enumerate(
+    for i, (hr, restricted, sub_int, gam, coupling, sparse, M) in enumerate(
             instance._structure):
         gam_map = instance.interface_maps[i]
 
         def evaluate(xi, xg, hr=hr, restricted=restricted.at(ops),
                      sub_int=sub_int, gam=gam, coupling=coupling,
-                     gam_map=gam_map):
+                     gam_map=gam_map, sparse=sparse, M=M):
             if wfpc:
-                g, J = gam_map.decode(xg), np.asarray(gam_map.jacobian(xg))
-                v_gam, J_gam = g[gam], J[gam]
+                g, J = gam_map.decode(xg), gam_map.jacobian(xg)
+                v_gam = g[gam]
                 c, C = coupling @ g, coupling @ J
             else:
-                v_gam, J_gam = gam.decode(xg), np.asarray(gam.jacobian(xg))
+                v_gam = gam.decode(xg)
                 c, C = coupling @ xg, coupling
-            J_int = np.asarray(sub_int.jacobian(xi))
-            n_io, k_int = J_int.shape
-            # M = blockdiag(J_int, J_gam): one product gives the Jacobian
-            # over [x_int, x_gam] without slicing the sparse Jacobian
-            M = np.zeros((restricted.n_cols, k_int + J_gam.shape[1]))
-            M[:n_io, :k_int] = J_int
-            M[n_io:, k_int:] = J_gam
             v = np.concatenate([sub_int.decode(xi), v_gam])
+            if sparse:
+                # constant sparse maps: R stays CSR, the fixed-pattern
+                # Jacobian itself under identity maps
+                R = restricted.jacobian(v)
+                if M is not None:
+                    R = R @ M
+            else:
+                # a sparse map paired with a dense one is densified
+                J_gam = _dense(J)[gam] if wfpc else _dense(gam.jacobian(xg))
+                J_int = _dense(sub_int.jacobian(xi))
+                n_io, k_int = J_int.shape
+                # M = blockdiag(J_int, J_gam): one product gives the Jacobian
+                # over [x_int, x_gam] without slicing the sparse Jacobian
+                M = np.zeros((restricted.n_cols, k_int + J_gam.shape[1]))
+                M[:n_io, :k_int] = J_int
+                M[n_io:, k_int:] = J_gam
+                R = restricted.jacobian(v) @ M
             return (hr.apply_sampled(restricted.residual(v)),
-                    hr.apply_sampled(restricted.jacobian(v) @ M), c, C)
+                    hr.apply_sampled(R), c, C)
 
         blocks.append(SqpBlock(instance.interior_maps[i].latent_dim,
                                gam_map.latent_dim, evaluate))

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 #: singular values at or below this multiple of sigma_1 are treated as zero
 RANK_TOL = 1e-12
@@ -66,13 +67,17 @@ def pod(X: np.ndarray, tol: float | None = None,
 class LinearMap:
     """Linear decoder ``g(xh) = Phi @ xh`` with encoder ``Phi.T`` .
 
-    The Jacobian is the constant matrix ``Phi``.  Shares its call surface
-    with the autoencoder maps so solvers can treat both uniformly.
+    The Jacobian is the constant matrix ``Phi``: dense for POD bases, CSR
+    when ``Phi`` is given sparse (the decomposed FOM's identities), also
+    after ``restrict_outputs``.  Shares its call surface with the
+    autoencoder maps so solvers can treat both uniformly.
     """
 
-    def __init__(self, Phi: np.ndarray):
-        Phi = np.atleast_2d(np.asarray(Phi, dtype=float))
-        self.Phi = Phi
+    def __init__(self, Phi):
+        if sp.issparse(Phi):
+            self.Phi = sp.csr_matrix(Phi, dtype=float)
+        else:
+            self.Phi = np.atleast_2d(np.asarray(Phi, dtype=float))
 
     @property
     def ambient_dim(self) -> int:
@@ -88,7 +93,7 @@ class LinearMap:
     def encode(self, x):
         return self.Phi.T @ x
 
-    def jacobian(self, xhat=None) -> np.ndarray:
+    def jacobian(self, xhat=None):
         return self.Phi
 
     def restrict_outputs(self, rows) -> "LinearMap":

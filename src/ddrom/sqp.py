@@ -10,7 +10,9 @@ one block-arrow KKT system with Gauss-Newton Hessian blocks and takes a
 damped step chosen by Armijo backtracking on the first-order optimality
 norm.  The same loop serves the decomposed FOM (identity decoders) and all
 ROM variants; blocks are callables, so the solver knows nothing about
-Burgers or autoencoders.
+Burgers or autoencoders.  A block Jacobian may be dense or sparse: with
+any sparse one the KKT matrix is assembled sparse and factored by a
+sparse LU, otherwise densely.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
+import scipy.sparse.linalg
 
 from .errors import ConvergenceError
 
@@ -35,9 +39,9 @@ class SqpBlock:
 
     ``evaluate(x_int, x_gam)`` returns ``(Br, R, c, C)``: the weighted
     residual, its Jacobian over ``[x_int, x_gam]`` (``rows x (n_int +
-    n_gam)``), this block's additive contribution to the coupling
-    constraint and that contribution's Jacobian in ``x_gam``.  It must be
-    side-effect-free.
+    n_gam)``, dense or scipy sparse), this block's additive contribution
+    to the coupling constraint and that contribution's Jacobian in
+    ``x_gam``.  It must be side-effect-free.
     """
 
     n_int: int
@@ -126,7 +130,8 @@ def eval_gradients(prob: SqpProblem, x: np.ndarray,
         except Exception as exc:
             raise RuntimeError(f"evaluation failed in block {i}") from exc
         dt = time.perf_counter() - t0
-        R = np.asarray(R, dtype=float)
+        if not sp.issparse(R):
+            R = np.asarray(R, dtype=float)
         cval = np.asarray(cval, dtype=float)
         cjac = np.atleast_2d(np.asarray(cjac, dtype=float))
         if cval.shape != (prob.n_mult,) or cjac.shape != (prob.n_mult,
@@ -143,24 +148,56 @@ def eval_gradients(prob: SqpProblem, x: np.ndarray,
                    block_sum_seconds=sum(b.seconds for b in evals))
 
 
-def _kkt_matrix(prob: SqpProblem, ev: SqpEval) -> np.ndarray:
+def _kkt_matrix(prob: SqpProblem, ev: SqpEval):
+    """The block-arrow KKT matrix ``[[blockdiag(R_i' R_i), C'], [C, 0]]``:
+    dense when every ``R_i`` is dense, otherwise CSC from one COO
+    construction over the blocks' ``R_i' R_i`` and the nonzeros of ``C``."""
     n, m = prob.n_primal, prob.n_mult
-    K = np.zeros((n + m, n + m))
+    if not any(sp.issparse(be.R) for be in ev.blocks):
+        K = np.zeros((n + m, n + m))
+        for off, block, be in zip(prob.offsets, prob.blocks, ev.blocks):
+            w = block.n_int + block.n_gam
+            K[off:off + w, off:off + w] = be.R.T @ be.R
+            gs = off + block.n_int
+            K[n:, gs:gs + block.n_gam] = be.con_jac
+            K[gs:gs + block.n_gam, n:] = be.con_jac.T
+        return K
+    rows, cols, vals = [], [], []
     for off, block, be in zip(prob.offsets, prob.blocks, ev.blocks):
-        w = block.n_int + block.n_gam
-        K[off:off + w, off:off + w] = be.R.T @ be.R
-        gs = off + block.n_int
-        K[n:, gs:gs + block.n_gam] = be.con_jac
-        K[gs:gs + block.n_gam, n:] = be.con_jac.T
-    return K
+        H = sp.coo_matrix(be.R.T @ be.R)
+        r, c = np.nonzero(be.con_jac)
+        v = be.con_jac[r, c]
+        c = c + off + block.n_int
+        rows += [H.row + off, r + n, c]
+        cols += [H.col + off, c, r + n]
+        vals += [H.data, v, v]
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n + m, n + m)).tocsc()
+
+
+def _lu(K):
+    """``(solve, smallest pivot)`` of an LU factorization of ``K``: SuperLU
+    with its default COLAMD ordering for sparse ``K``, LAPACK for dense.
+    SuperLU's exactly-singular error is raised as ``LinAlgError``."""
+    if sp.issparse(K):
+        try:
+            lu = scipy.sparse.linalg.splu(K)
+        except RuntimeError as exc:          # "Factor is exactly singular"
+            raise scipy.linalg.LinAlgError(str(exc)) from exc
+        return lu.solve, float(np.abs(lu.U.diagonal()).min())
+    lu, piv = scipy.linalg.lu_factor(K)
+    return ((lambda b: scipy.linalg.lu_solve((lu, piv), b)),
+            float(np.abs(np.diag(lu)).min()))
 
 
 def assemble_and_solve_kkt(prob: SqpProblem, ev: SqpEval):
     """Solve the block-arrow saddle-point system for the SQP step.
 
-    Dense LU with one round of iterative refinement; the back-substitution
-    residual must come out below 1e-10 relative, otherwise the Hessian
-    blocks are regularized by +delta*I once and the solve retried.
+    LU (sparse when any block Jacobian is sparse, see :func:`_lu`) with one
+    round of iterative refinement; the back-substitution residual must
+    come out below 1e-10 relative, otherwise the Hessian blocks are
+    regularized by +delta*I once and the solve retried.
     """
     n = prob.n_primal
     K = _kkt_matrix(prob, ev)
@@ -168,12 +205,11 @@ def assemble_and_solve_kkt(prob: SqpProblem, ev: SqpEval):
     rhs_norm = max(np.linalg.norm(rhs), 1e-300)
 
     def attempt(mat):
-        lu, piv = scipy.linalg.lu_factor(mat)
-        pivot = float(np.abs(np.diag(lu)).min())
-        sol = scipy.linalg.lu_solve((lu, piv), rhs)
+        solve, pivot = _lu(mat)
+        sol = solve(rhs)
         if not np.all(np.isfinite(sol)):
             return sol, np.inf, pivot
-        sol += scipy.linalg.lu_solve((lu, piv), rhs - mat @ sol)
+        sol += solve(rhs - mat @ sol)
         if not np.all(np.isfinite(sol)):
             return sol, np.inf, pivot
         res = np.linalg.norm(rhs - mat @ sol) / rhs_norm
@@ -185,11 +221,15 @@ def assemble_and_solve_kkt(prob: SqpProblem, ev: SqpEval):
     except scipy.linalg.LinAlgError:
         sol, res, pivot, ok = None, np.inf, 0.0, False
     if not ok:
-        delta = REG_SCALE * max(np.trace(K[:n, :n]), 1.0)
+        delta = REG_SCALE * max(K.diagonal()[:n].sum(), 1.0)
         warnings.warn(
             f"KKT solve needed +{delta:.3e} regularization "
             f"(smallest pivot {pivot:.3e})", RuntimeWarning, stacklevel=2)
-        K[np.arange(n), np.arange(n)] += delta
+        if sp.issparse(K):
+            K = (K + sp.diags(np.repeat([delta, 0.0], [n, prob.n_mult]))
+                 ).tocsc()
+        else:
+            K[np.arange(n), np.arange(n)] += delta
         try:
             sol, res, pivot = attempt(K)
         except scipy.linalg.LinAlgError as exc:

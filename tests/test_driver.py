@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from ddrom.autoencoder import TrainConfig
 from ddrom.burgers import Grid2D, ParameterPoint, assemble, exact_state, \
@@ -193,6 +194,20 @@ def test_dd_fom_matches_monolithic():
         ri, rg = part.restrict(i, x_mono)
         np.testing.assert_allclose(xi, ri, atol=1e-8)
         np.testing.assert_allclose(xg, rg, atol=1e-8)
+
+
+@pytest.mark.parametrize("a,lam", [(5000.0, 15.0), (300.0, 10.0)])
+def test_dd_fom_matches_monolithic_at_120x12(a, lam):
+    # the sparse KKT path makes this size a sub-second solve
+    grid = Grid2D(120, 12)
+    p = ParameterPoint(a, lam)
+    part = build_partition(grid, 2, 2)
+    x_mono, newton = solve_monolithic(grid, p)
+    x0 = np.zeros(sum(s.n_interior + s.n_interface for s in part.subdomains))
+    _, rec = solve_rom(build_dd_fom(part), p, SqpConfig(tol=1e-4), x0=x0,
+                       fom_state=x_mono, fom_seconds=0.1)
+    assert newton.converged and rec.converged
+    assert rec.error <= 1e-8
 
 
 # ------------------------------------------------------------------ LS-ROM
@@ -405,6 +420,11 @@ def assert_rel_close(got, ref, rel=1e-12):
     assert np.linalg.norm(got - ref) <= rel * np.linalg.norm(ref)
 
 
+def dense(a):
+    """``a`` as a dense array (DD-FOM Jacobians are CSR)."""
+    return a.toarray() if sp.issparse(a) else np.asarray(a)
+
+
 @pytest.mark.parametrize("name", ["ls-wfpc", "ls-srpc", "dd-fom",
                                   "nm-wfpc"])
 def test_full_row_blocks_match_global_jacobian(desk, name, request):
@@ -422,18 +442,21 @@ def test_full_row_blocks_match_global_jacobian(desk, name, request):
         state[sub.interface_cols] = gam_map.decode(xg)
         J = fom_jacobian(ops, state)[sub.res_rows]
         r, R, _, _ = got[i]
+        R = dense(R)
         R_int, R_gam = R[:, :int_map.latent_dim], R[:, int_map.latent_dim:]
         assert_rel_close(r, fom_residual(ops, state)[sub.res_rows])
         assert_rel_close(R_int, J[:, sub.interior_cols]
-                         @ np.asarray(int_map.jacobian(xi)))
+                         @ dense(int_map.jacobian(xi)))
         assert_rel_close(R_gam, J[:, sub.interface_cols]
-                         @ np.asarray(gam_map.jacobian(xg)))
+                         @ dense(gam_map.jacobian(xg)))
 
 
 @pytest.mark.parametrize("name,mode", [("ls-wfpc", "collocation"),
                                        ("ls-wfpc", "gappy"),
                                        ("ls-srpc", "collocation"),
-                                       ("nm-wfpc", "collocation")])
+                                       ("nm-wfpc", "collocation"),
+                                       ("dd-fom", "collocation"),
+                                       ("dd-fom", "gappy")])
 def test_hr_blocks_weight_full_row_blocks(desk, name, mode, request):
     grid, part, snap = desk
     inst = instance_named(name, request)
@@ -446,7 +469,7 @@ def test_hr_blocks_weight_full_row_blocks(desk, name, mode, request):
     sampled = evaluate_blocks(h, ops, x)
     for hr, ref, got in zip(h.hr, full, sampled):
         for g, f in zip(got[:2], ref[:2]):
-            assert_rel_close(g, hr.matrix() @ f)
+            assert_rel_close(dense(g), hr.matrix() @ dense(f))
         for g, f in zip(got[2:], ref[2:]):
             np.testing.assert_array_equal(g, f)
 
@@ -469,7 +492,38 @@ def test_cached_structure_matches_fresh_build(desk, name, request):
     for bw, bf, (xi, xg) in zip(prob_w.blocks, prob_f.blocks,
                                 prob_w.split(x)):
         for got, ref in zip(bw.evaluate(xi, xg), bf.evaluate(xi, xg)):
-            np.testing.assert_array_equal(got, ref)
+            np.testing.assert_array_equal(dense(got), dense(ref))
+
+
+@pytest.mark.parametrize("name,mode", [("ls-wfpc", None), ("ls-srpc", None),
+                                       ("nm-wfpc", None),
+                                       ("ls-wfpc", "collocation"),
+                                       ("ls-wfpc", "gappy"),
+                                       ("ls-srpc", "collocation"),
+                                       ("nm-wfpc", "collocation"),
+                                       ("dd-fom", None),
+                                       ("dd-fom", "collocation")])
+def test_block_jacobian_is_csr_only_for_sparse_maps(desk, name, mode,
+                                                    request):
+    grid, _, snap = desk
+    inst = instance_named(name, request)
+    if mode is not None:
+        inst = attach_hr(inst, snap, mode, n_samples=30)
+    prob = build_problem(inst, assemble(grid, snap.params[7]))
+    x = perturbed_latent(inst, snap, 7)
+    for blk, (xi, xg) in zip(prob.blocks, prob.split(x)):
+        _, R, _, C = blk.evaluate(xi, xg)
+        assert isinstance(C, np.ndarray)
+        if name != "dd-fom":
+            assert isinstance(R, np.ndarray)
+            continue
+        assert sp.issparse(R) and R.format == "csr"
+        if mode is None:
+            # identity maps: R is the fixed-pattern residual Jacobian itself
+            J = restricted_of(blk).jacobian(np.concatenate([xi, xg]))
+            assert R.nnz == J.nnz
+            np.testing.assert_array_equal(R.indices, J.indices)
+            np.testing.assert_array_equal(R.data, J.data)
 
 
 def test_instance_copies_start_without_structure(desk, ls_wfpc):

@@ -1,7 +1,10 @@
 """Constrained Gauss-Newton SQP: KKT algebra, line search, FOM oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from ddrom.burgers import Grid2D, ParameterPoint, assemble, exact_state, \
     solve_monolithic
@@ -42,6 +45,15 @@ def random_linear_problem(seed, n_blocks=2, n_mult=2):
             rng.normal(size=m), rng.normal(size=(n_mult, ng)),
             rng.normal(size=n_mult) / n_blocks))
     return SqpProblem(blocks, n_mult), rng
+
+
+def sparsified(block):
+    """``block`` with its Jacobian returned as CSR."""
+    def evaluate(xi, xg):
+        r, R, c, C = block.evaluate(xi, xg)
+        return r, sp.csr_matrix(R), c, C
+
+    return SqpBlock(block.n_int, block.n_gam, evaluate)
 
 
 def global_matrices(prob):
@@ -207,6 +219,96 @@ def test_singular_kkt_raises_after_regularization_warning():
     with pytest.warns(RuntimeWarning, match="regularization"):
         with pytest.raises(ConvergenceError):
             assemble_and_solve_kkt(prob, ev)
+
+
+def test_singular_sparse_kkt_raises_after_regularization_warning():
+    # the same duplicated rows: SuperLU finds the factor exactly singular
+    # before and after the regularization
+    E = np.array([[1.0, 1.0], [1.0, 1.0]])
+    blk = sparsified(linear_block(np.eye(2), np.eye(2), np.ones(2), E))
+    prob = SqpProblem([blk], 2)
+    ev = eval_gradients(prob, np.zeros(4), np.zeros(2))
+    assert sp.issparse(_kkt_matrix(prob, ev))
+    with pytest.warns(RuntimeWarning, match="regularization"):
+        with pytest.raises(ConvergenceError, match="KKT matrix is singular"):
+            assemble_and_solve_kkt(prob, ev)
+
+
+@pytest.mark.parametrize("make", [lambda b: b, sparsified],
+                         ids=["dense", "sparse"])
+def test_regularizable_kkt_succeeds_after_one_regularization(make):
+    # x_int[1] enters neither the residual nor the constraint: a zero row
+    # and column that +delta*I on the Hessian block repairs
+    A_int = np.array([[1.0, 0.0], [0.0, 0.0]])
+    A_gam = np.array([[0.0], [1.0]])
+    blk = make(linear_block(A_int, A_gam, np.array([1.0, 2.0]),
+                            np.array([[1.0]]), np.array([0.5])))
+    prob = SqpProblem([blk], 1)
+    ev = eval_gradients(prob, np.zeros(3), np.zeros(1))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        s, s_lam = assemble_and_solve_kkt(prob, ev)
+    assert sum(w.category is RuntimeWarning
+               and "regularization" in str(w.message) for w in caught) == 1
+    np.testing.assert_allclose(s, [1.0, 0.0, 0.5], atol=1e-9)
+    assert np.all(np.isfinite(s_lam))
+
+
+# -- sparse KKT path -------------------------------------------------------
+
+
+def sparse_linear_problem(seed, which=None):
+    """``random_linear_problem(seed)`` twice: as given, and with the blocks
+    in ``which`` (default: all) returning CSR Jacobians."""
+    prob, rng = random_linear_problem(seed)
+    which = range(len(prob.blocks)) if which is None else which
+    blocks = [sparsified(b) if i in which else b
+              for i, b in enumerate(prob.blocks)]
+    return prob, SqpProblem(blocks, prob.n_mult), rng
+
+
+@pytest.mark.parametrize("which", [None, (0,), (1,)])
+def test_sparse_kkt_matrix_matches_dense_composition(which):
+    dense_prob, prob, rng = sparse_linear_problem(2, which)
+    x = rng.normal(size=prob.n_primal)
+    lam = rng.normal(size=prob.n_mult)
+    K = _kkt_matrix(prob, eval_gradients(prob, x, lam))
+    ref = _kkt_matrix(dense_prob, eval_gradients(dense_prob, x, lam))
+    assert sp.issparse(K) and K.format == "csc"
+    assert isinstance(ref, np.ndarray)
+    assert np.linalg.norm(K.toarray() - ref) <= 1e-14 * np.linalg.norm(ref)
+    n = prob.n_primal
+    s = rng.normal(size=n)
+    np.testing.assert_allclose(K[:n, :n] @ s, ref[:n, :n] @ s, rtol=1e-13)
+
+
+@pytest.mark.parametrize("which", [None, (0,), (1,)])
+def test_sparse_kkt_solve_backsubstitution_residual(which):
+    for seed in range(5):
+        dense_prob, prob, rng = sparse_linear_problem(seed, which)
+        x = rng.normal(size=prob.n_primal)
+        lam = rng.normal(size=prob.n_mult)
+        ev = eval_gradients(prob, x, lam)
+        np.testing.assert_allclose(
+            ev.rho, eval_gradients(dense_prob, x, lam).rho, rtol=1e-13)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s, s_lam = assemble_and_solve_kkt(prob, ev)
+        K = _kkt_matrix(prob, ev)
+        rhs = -ev.optimality
+        sol = np.concatenate([s, s_lam])
+        assert np.linalg.norm(K @ sol - rhs) <= 1e-10 * np.linalg.norm(rhs)
+
+
+def test_mixed_sparse_dense_problem_converges_in_one_step():
+    dense_prob, prob, rng = sparse_linear_problem(20, which=(1,))
+    R, b, E, d = global_matrices(dense_prob)
+    res = iterate(prob, rng.normal(size=prob.n_primal),
+                  cfg=SqpConfig(tol=1e-10))
+    assert res.converged and res.n_iter == 1
+    assert np.allclose(res.x, constrained_lsq_oracle(R, b, E, d), atol=1e-8)
+    report = convergence_diagnostics(prob, res)
+    assert all(eta <= 1e-6 for eta in report["eta"])
 
 
 # -- iteration -----------------------------------------------------------

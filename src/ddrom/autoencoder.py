@@ -11,9 +11,12 @@ Training is plain mini-batch Adam on the reconstruction MSE of normalized
 snapshots, with gradients computed only on the mask support.
 
 The decoder's evaluation path fixes its floating-point summation order to
-one that survives row subsetting (hidden layer accumulated latent-column by
-latent-column, output layer as a CSR row sweep), which is what makes
-hyper-reduction subnets bitwise-identical to the rows they replace.
+one that survives row subsetting (hidden layer as a per-unit ``einsum``
+contraction over the latent axis, output layer as a CSR row sweep), which
+is what makes hyper-reduction subnets bitwise-identical to the rows they
+replace.  :meth:`Autoencoder.decode_and_jacobian` evaluates the hidden
+layer once and both outputs in one CSR product; ``decode`` and
+``jacobian`` share its hidden-layer routine and return the same bits.
 """
 
 from __future__ import annotations
@@ -33,16 +36,19 @@ PLATEAU_FACTOR = 0.1    # learning-rate factor per validation plateau
 VAL_FRACTION = 0.1      # share of snapshot columns held out for validation
 
 
-def _act(tag, z):
+def _act(tag, z, s=None):
+    """Activation at ``z``; ``s`` is ``expit(z)`` if already computed.
+    ``expit(z)`` stays an unnamed temporary, which numpy reuses for the
+    product: on training batches a named one costs a fresh allocation."""
     if tag == "swish":
-        return z * expit(z)
+        return z * (expit(z) if s is None else s)
     if tag == "sigmoid":
-        return expit(z)
+        return expit(z) if s is None else s
     raise ValueError(f"unknown activation {tag!r}")
 
 
-def _act_deriv(tag, z):
-    s = expit(z)
+def _act_deriv(tag, z, s=None):
+    s = expit(z) if s is None else s
     if tag == "swish":
         return s * (1.0 + z * (1.0 - s))
     if tag == "sigmoid":
@@ -136,19 +142,22 @@ class Autoencoder:
 
     # -- evaluation ------------------------------------------------------
 
-    def _hidden_decoder(self, xhat: np.ndarray) -> np.ndarray:
-        # accumulate one latent column at a time; the per-element operation
-        # sequence is independent of which output rows are later kept
-        z = self.b1g.copy()
-        for d in range(self.W1g.shape[1]):
-            z += self.W1g[:, d] * xhat[d]
-        return z
+    def _hidden_decoder(self, xhat: np.ndarray):
+        """``(z, s)``: the hidden pre-activation and ``expit(z)``.
 
-    def decode(self, xhat: np.ndarray) -> np.ndarray:
+        ``einsum`` contracts each hidden unit's row on its own (BLAS
+        ``W1g @ xhat`` may block rows together), so a unit's value does
+        not depend on which other units are kept.
+        """
         xhat = np.asarray(xhat, dtype=float)
         if xhat.shape != (self.latent_dim,):
             raise ValueError("latent vector has wrong length")
-        a = _act(self.activation, self._hidden_decoder(xhat))
+        z = np.einsum("hk,k->h", self.W1g, xhat)
+        z += self.b1g
+        return z, expit(z)
+
+    def decode(self, xhat: np.ndarray) -> np.ndarray:
+        a = _act(self.activation, *self._hidden_decoder(xhat))
         raw = self.W2g @ a          # CSR row sweep, storage order
         return raw * self.norm.scale + self.norm.shift
 
@@ -162,10 +171,21 @@ class Autoencoder:
 
     def jacobian(self, xhat: np.ndarray) -> np.ndarray:
         """Analytic decoder Jacobian, shape (ambient_dim, latent_dim)."""
-        xhat = np.asarray(xhat, dtype=float)
-        zp = _act_deriv(self.activation, self._hidden_decoder(xhat))
+        zp = _act_deriv(self.activation, *self._hidden_decoder(xhat))
         inner = self.W2g @ (zp[:, None] * self.W1g)
         return inner * self.norm.scale[:, None]
+
+    def decode_and_jacobian(self, xhat: np.ndarray):
+        """``(decode(xhat), jacobian(xhat))``, bitwise, from one hidden
+        layer and one CSR product over ``[a | zp * W1g]``."""
+        z, s = self._hidden_decoder(xhat)
+        a, zp = _act(self.activation, z, s), _act_deriv(self.activation, z, s)
+        H = np.empty((a.size, 1 + self.latent_dim))
+        H[:, 0] = a
+        np.multiply(zp[:, None], self.W1g, out=H[:, 1:])
+        out = self.W2g @ H          # per column the same sweep as above
+        scale = self.norm.scale
+        return out[:, 0] * scale + self.norm.shift, out[:, 1:] * scale[:, None]
 
 
 @dataclass(frozen=True)

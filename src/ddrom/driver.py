@@ -38,8 +38,8 @@ from .hyper import extract_subnet, greedy_sample, hr_collocation, hr_gappy, \
 from .partition import ConstraintMatrix, Partition, RestrictedResidual, \
     assemble_fom_constraints, assemble_rom_constraints
 from .pod import LinearMap, pod, port_interface_basis
-from .sqp import SqpBlock, SqpConfig, SqpProblem, SqpResult, eval_gradients, \
-    iterate
+from .sqp import SqpBlock, SqpConfig, SqpEval, SqpProblem, SqpResult, \
+    eval_gradients, iterate
 
 BOUND_REL_SCALE = 0.05  # verify_bounds' latent perturbation, relative
 
@@ -357,29 +357,40 @@ def _restrict_map(m, rows):
     return extract_subnet(m, rows)
 
 
-def _sparse_jacobian(m):
-    """``m``'s Jacobian if it is constant and sparse (a ``LinearMap`` over a
-    sparse ``Phi``), else ``None``."""
-    if isinstance(m, LinearMap) and sp.issparse(m.Phi):
-        return m.Phi
-    return None
+def _linear_jacobian(m):
+    """``m``'s Jacobian if it is constant (``m`` is a ``LinearMap``), else
+    ``None``."""
+    return m.Phi if isinstance(m, LinearMap) else None
 
 
 def _dense(a) -> np.ndarray:
     return a.toarray() if sp.issparse(a) else np.asarray(a)
 
 
+def _blockdiag(J_int, J_gam) -> np.ndarray:
+    """Dense ``blockdiag(J_int, J_gam)``: the Jacobian of the local decoded
+    state over ``[x_int, x_gam]``."""
+    J_int, J_gam = _dense(J_int), _dense(J_gam)
+    (r, k), (r_g, k_g) = J_int.shape, J_gam.shape
+    M = np.zeros((r + r_g, k + k_g))
+    M[:r, :k] = J_int
+    M[r:, k:] = J_gam
+    return M
+
+
 def _block_structure(instance: RomInstance, i: int, ops: FomOperators):
     """Everything subdomain ``i``'s residual and constraint need that does
     not depend on the parameter:
-    ``(hr, restricted, sub_int, gam, coupling, sparse, M)``.
+    ``(hr, restricted, sub_int, gam, coupling, sparse, M, terms)``.
 
     ``gam`` is the interface outputs the residual reads off the full
     decode (WFPC) or the interface map restricted to them (SRPC);
     ``coupling`` is ``C A_i`` (WFPC) or the dense ROM constraint block.
-    ``sparse`` says both maps are linear with sparse Jacobians; ``M`` is
-    then their constant ``blockdiag(J_int, J_gam)`` as CSR, or ``None``
-    when it is the identity (the decomposed FOM).
+    When both maps are linear, ``M = blockdiag(J_int, J_gam)`` is
+    constant.  ``sparse`` says both of its blocks are sparse; ``M`` is then
+    CSR, or ``None`` when it is the identity (the decomposed FOM).
+    Otherwise ``terms`` is ``restricted.product_terms(M)``, computed once
+    here, or ``None`` when a map is nonlinear and ``M`` changes per call.
     """
     part = instance.partition
     sub = part.subdomains[i]
@@ -393,32 +404,38 @@ def _block_structure(instance: RomInstance, i: int, ops: FomOperators):
         # the constraint needs every interface trace entry, so the residual
         # reads its rows off the same full decode
         gam = gio
-        J_gam = _sparse_jacobian(instance.interface_maps[i])
+        J_gam = _linear_jacobian(instance.interface_maps[i])
         J_gam = J_gam[gio] if J_gam is not None else None
         coupling = (instance.wfpc_C
                     @ instance.fom_constraints.blocks[i].toarray())
     else:
         gam = _restrict_map(instance.interface_maps[i], gio)
-        J_gam = _sparse_jacobian(gam)
+        J_gam = _linear_jacobian(gam)
         coupling = instance.rom_constraints.blocks[i].toarray()
-    J_int = _sparse_jacobian(sub_int)
-    sparse = J_int is not None and J_gam is not None
-    M = sp.block_diag([J_int, J_gam], format="csr") if sparse else None
-    if sparse and M.shape[0] == M.shape[1] and not (
-            M != sp.identity(M.shape[0])).nnz:
-        M = None
-    return hr, restricted, sub_int, gam, coupling, sparse, M
+    J_int = _linear_jacobian(sub_int)
+    M = terms = None
+    sparse = sp.issparse(J_int) and sp.issparse(J_gam)
+    if sparse:
+        M = sp.block_diag([J_int, J_gam], format="csr")
+        if M.shape[0] == M.shape[1] and not (
+                M != sp.identity(M.shape[0])).nnz:
+            M = None
+    elif J_int is not None and J_gam is not None:
+        terms = restricted.product_terms(_blockdiag(J_int, J_gam))
+    return hr, restricted, sub_int, gam, coupling, sparse, M, terms
 
 
 def build_problem(instance: RomInstance, ops: FomOperators) -> SqpProblem:
     """Instantiate the block-separable SQP problem at one parameter.
 
     Every block evaluates the residual rows its HR operator samples (all
-    rows without HR) from only the decoder outputs those rows reference.
-    The parameter-independent structure is built at the instance's first
-    call and reused; each call binds only the boundary data of ``ops``.
-    A block whose two maps are sparse linear maps returns its Jacobian as
-    CSR, which puts the SQP on its sparse KKT path; all others are dense.
+    rows without HR) from only the decoder outputs those rows reference,
+    calling each map's ``decode_and_jacobian`` once.  The
+    parameter-independent structure is built at the instance's first call
+    and reused; each call binds only the boundary data of ``ops``.  A block
+    whose two maps are sparse linear maps returns its Jacobian as CSR,
+    which puts the SQP on its sparse KKT path; all others get their dense
+    Jacobian product from :meth:`RestrictedResidual.residual_and_product`.
     """
     part = instance.partition
     if ops.grid != part.grid:
@@ -429,40 +446,37 @@ def build_problem(instance: RomInstance, ops: FomOperators) -> SqpProblem:
                                for i in range(part.n_sub)]
     wfpc = instance.constraint_mode == "wfpc"
     blocks = []
-    for i, (hr, restricted, sub_int, gam, coupling, sparse, M) in enumerate(
-            instance._structure):
+    for i, (hr, restricted, sub_int, gam, coupling, sparse, M,
+            terms) in enumerate(instance._structure):
         gam_map = instance.interface_maps[i]
 
         def evaluate(xi, xg, hr=hr, restricted=restricted.at(ops),
                      sub_int=sub_int, gam=gam, coupling=coupling,
-                     gam_map=gam_map, sparse=sparse, M=M):
+                     gam_map=gam_map, sparse=sparse, M=M, terms=terms):
             if wfpc:
-                g, J = gam_map.decode(xg), gam_map.jacobian(xg)
+                g, J = gam_map.decode_and_jacobian(xg)
                 v_gam = g[gam]
                 c, C = coupling @ g, coupling @ J
             else:
-                v_gam = gam.decode(xg)
+                v_gam, J = gam.decode_and_jacobian(xg)
                 c, C = coupling @ xg, coupling
-            v = np.concatenate([sub_int.decode(xi), v_gam])
+            v_int, J_int = sub_int.decode_and_jacobian(xi)
+            v = np.concatenate([v_int, v_gam])
             if sparse:
                 # constant sparse maps: R stays CSR, the fixed-pattern
                 # Jacobian itself under identity maps
                 R = restricted.jacobian(v)
                 if M is not None:
                     R = R @ M
-            else:
-                # a sparse map paired with a dense one is densified
-                J_gam = _dense(J)[gam] if wfpc else _dense(gam.jacobian(xg))
-                J_int = _dense(sub_int.jacobian(xi))
-                n_io, k_int = J_int.shape
-                # M = blockdiag(J_int, J_gam): one product gives the Jacobian
-                # over [x_int, x_gam] without slicing the sparse Jacobian
-                M = np.zeros((restricted.n_cols, k_int + J_gam.shape[1]))
-                M[:n_io, :k_int] = J_int
-                M[n_io:, k_int:] = J_gam
-                R = restricted.jacobian(v) @ M
-            return (hr.apply_sampled(restricted.residual(v)),
-                    hr.apply_sampled(R), c, C)
+                return (hr.apply_sampled(restricted.residual(v)),
+                        hr.apply_sampled(R), c, C)
+            if terms is None:
+                # a nonlinear map: M = blockdiag(J_int, J_gam) at this point
+                # (a sparse map paired with a dense one is densified)
+                terms = restricted.product_terms(
+                    _blockdiag(J_int, J[gam] if wfpc else J))
+            r, R = restricted.residual_and_product(v, terms)
+            return hr.apply_sampled(r), hr.apply_sampled(R), c, C
 
         blocks.append(SqpBlock(instance.interior_maps[i].latent_dim,
                                gam_map.latent_dim, evaluate))
@@ -478,7 +492,9 @@ def init_guess(instance: RomInstance, p: ParameterPoint, *,
     """RBF latent prediction plus least-squares multipliers.
 
     The multiplier solve uses the interface stationarity rows, which are
-    linear in the multipliers for fixed latents.
+    linear in the multipliers for fixed latents.  Returns ``(x0, lam0,
+    ev0)``, where ``ev0`` is the zero-multiplier evaluation at ``x0`` the
+    solve made; ``iterate(..., start=ev0)`` reuses it.
     """
     if instance.initializer is None:
         raise ValueError("instance has no fitted initializer")
@@ -487,13 +503,16 @@ def init_guess(instance: RomInstance, p: ParameterPoint, *,
         ops = assemble(instance.partition.grid, p)
     if prob is None:
         prob = build_problem(instance, ops)
-    lam0 = multiplier_least_squares(prob, x0)
-    return x0, lam0
+    ev0 = eval_gradients(prob, x0, np.zeros(prob.n_mult))
+    return x0, multiplier_least_squares(prob, x0, ev0), ev0
 
 
-def multiplier_least_squares(prob: SqpProblem, x0: np.ndarray) -> np.ndarray:
-    """argmin over multipliers of the interface stationarity residual."""
-    ev = eval_gradients(prob, x0, np.zeros(prob.n_mult))
+def multiplier_least_squares(prob: SqpProblem, x0: np.ndarray,
+                             ev: SqpEval | None = None) -> np.ndarray:
+    """argmin over multipliers of the interface stationarity residual;
+    ``ev`` is the evaluation at ``(x0, 0)`` if the caller has it."""
+    if ev is None:
+        ev = eval_gradients(prob, x0, np.zeros(prob.n_mult))
     rows, rhs = [], []
     for off, block, be in zip(prob.offsets, prob.blocks, ev.blocks):
         gs = off + block.n_int
@@ -607,14 +626,17 @@ def solve_rom(instance: RomInstance, p: ParameterPoint,
     t_online = time.perf_counter()
     ops = assemble(part.grid, p)
     prob = build_problem(instance, ops)
+    start = None
     if x0 is None:
-        x0, lam_ls = init_guess(instance, p, ops=ops, prob=prob)
+        x0, lam_ls, start = init_guess(instance, p, ops=ops, prob=prob)
         lam0 = lam_ls if lam0 is None else lam0
     elif lam0 is None:
-        lam0 = multiplier_least_squares(prob, np.asarray(x0, dtype=float))
+        x0 = np.asarray(x0, dtype=float)
+        start = eval_gradients(prob, x0, np.zeros(prob.n_mult))
+        lam0 = multiplier_least_squares(prob, x0, start)
 
     t0 = time.perf_counter()
-    res = iterate(prob, x0, lam0, cfg)
+    res = iterate(prob, x0, lam0, cfg, start)
     rom_seconds = time.perf_counter() - t0
     parallel = (sum(res.timings["block_max"]) + sum(res.timings["kkt"]))
 

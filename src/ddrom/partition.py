@@ -365,10 +365,12 @@ class RestrictedResidual:
                                  "provided column set")
             return local
 
-        # D = [Bx; By] on the selected rows, and each row's own-node u and v
-        # columns (the Hadamard factors)
-        self._D = sp.vstack([remap(ops.Bx), remap(ops.By)], format="csr")
-        self._Cd = remap(ops.Cdiff)
+        # S = [Bx; By; Cdiff] on the selected rows (its first 2m rows are
+        # D = [Bx; By]), and each row's own-node u and v columns (the
+        # Hadamard factors)
+        D = sp.vstack([remap(ops.Bx), remap(ops.By)], format="csr")
+        Cd = remap(ops.Cdiff)
+        self._S = sp.vstack([D, Cd], format="csr")
         self._g = np.concatenate([gather_idx(0), gather_idx(n)])
 
         # Jacobian terms, summed per entry in this order:
@@ -377,7 +379,7 @@ class RestrictedResidual:
         # The first four are scale[src] * coeff with the per-call
         # scale = [D x - [bx; by], x_u, x_v]; Cdiff is constant and last.
         k = np.arange(m)
-        D, Cd = self._D.tocoo(), self._Cd.tocoo()
+        D, Cd = D.tocoo(), Cd.tocoo()
         t_row, t_col, self._coeff, self._src = (
             np.concatenate(parts) for parts in zip(
                 (k, self._g[:m], np.ones(m), k),
@@ -420,25 +422,60 @@ class RestrictedResidual:
         new._bind(ops)
         return new
 
-    def residual(self, x: np.ndarray) -> np.ndarray:
+    def _residual(self, x):
+        """``(r, d, xg)``: the residual, ``d = D x - [bx; by]`` and the
+        own-node u and v entries ``xg`` of ``x``; counts the rows."""
         if x.shape != (self.n_cols,):
             raise ValueError("local state has wrong length")
         self.rows_evaluated += self.n_rows
         m = self.n_rows
-        d = self._D @ x - self._b
-        xg = x[self._g]
-        return xg[:m] * d[:m] + xg[m:] * d[m:] + self._Cd @ x + self._c
+        s = self._S @ x
+        d, xg = s[:2 * m] - self._b, x[self._g]
+        return xg[:m] * d[:m] + xg[m:] * d[m:] + s[2 * m:] + self._c, d, xg
+
+    def residual(self, x: np.ndarray) -> np.ndarray:
+        return self._residual(x)[0]
 
     def jacobian(self, x: np.ndarray) -> sp.csr_matrix:
         if x.shape != (self.n_cols,):
             raise ValueError("local state has wrong length")
-        scale = np.concatenate([self._D @ x - self._b, x[self._g]])
+        m = self.n_rows
+        scale = np.concatenate([(self._S @ x)[:2 * m] - self._b, x[self._g]])
         # bincount adds in input order, so per entry in term order
         data = np.bincount(self._pos, weights=scale[self._src] * self._coeff,
                            minlength=self._cd.size)
         data += self._cd
         return sp.csr_matrix((data, self._indices, self._indptr),
                              shape=(self.n_rows, self.n_cols))
+
+    def product_terms(self, M: np.ndarray):
+        """``(S M, M[g])`` for a dense ``M`` over the local columns: the
+        parts of ``jacobian(x) @ M`` that do not depend on ``x``, to pass
+        to :meth:`residual_and_product` (once per ``M`` when it is
+        constant)."""
+        M = np.asarray(M, dtype=float)
+        if M.ndim != 2 or M.shape[0] != self.n_cols:
+            raise ValueError("M must have one row per local column")
+        return self._S @ M, M[self._g]
+
+    def residual_and_product(self, x: np.ndarray, terms):
+        """``(residual(x), jacobian(x) @ M)`` as dense arrays, with
+        ``terms = product_terms(M)``.
+
+        The residual is bitwise :meth:`residual`'s; the product is the
+        five row-scaled terms ``diag(d_u) M[g_u] + diag(x_u) Bx M +
+        diag(x_v) By M + diag(d_v) M[g_v] + Cdiff M``, with no sparse
+        Jacobian formed.
+        """
+        r, d, xg = self._residual(x)
+        m = self.n_rows
+        SM, MG = terms
+        JM = d[:m, None] * MG[:m]
+        JM += xg[:m, None] * SM[:m]
+        JM += xg[m:, None] * SM[m:2 * m]
+        JM += d[m:, None] * MG[m:]
+        JM += SM[2 * m:]
+        return r, JM
 
 
 def build_partition(grid: Grid2D, nsub_x: int, nsub_y: int) -> Partition:

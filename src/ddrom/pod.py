@@ -96,6 +96,9 @@ class LinearMap:
     def jacobian(self, xhat=None):
         return self.Phi
 
+    def decode_and_jacobian(self, xhat):
+        return self.Phi @ xhat, self.Phi
+
     def restrict_outputs(self, rows) -> "LinearMap":
         """The map keeping only the selected output rows."""
         return LinearMap(self.Phi[np.asarray(rows), :])

@@ -120,7 +120,6 @@ class SqpEval:
 def eval_gradients(prob: SqpProblem, x: np.ndarray,
                    lam: np.ndarray) -> SqpEval:
     """First-order optimality pieces at ``(x, lam)`` (block-local work)."""
-    rho = np.zeros(prob.n_primal)
     con = np.zeros(prob.n_mult)
     evals = []
     for i, (block, (xi, xg)) in enumerate(zip(prob.blocks, prob.split(x))):
@@ -137,15 +136,23 @@ def eval_gradients(prob: SqpProblem, x: np.ndarray,
         if cval.shape != (prob.n_mult,) or cjac.shape != (prob.n_mult,
                                                           block.n_gam):
             raise ValueError(f"block {i} constraint has inconsistent shape")
-        off = prob.offsets[i]
-        grad = R.T @ Br
-        grad[block.n_int:] += cjac.T @ lam
-        rho[off:off + block.n_int + block.n_gam] = grad
         con += cval
         evals.append(_BlockEval(Br=Br, R=R, con_jac=cjac, seconds=dt))
-    return SqpEval(rho=rho, con=con, blocks=evals,
-                   block_max_seconds=max(b.seconds for b in evals),
-                   block_sum_seconds=sum(b.seconds for b in evals))
+    return _gradients(prob, evals, con, lam)
+
+
+def _gradients(prob: SqpProblem, blocks, con, lam) -> SqpEval:
+    """The :class:`SqpEval` of evaluated ``blocks`` (summed constraint
+    ``con``) with the Lagrangian gradient formed at the multipliers
+    ``lam``; no block is evaluated."""
+    rho = np.zeros(prob.n_primal)
+    for off, block, be in zip(prob.offsets, prob.blocks, blocks):
+        grad = be.R.T @ be.Br
+        grad[block.n_int:] += be.con_jac.T @ lam
+        rho[off:off + block.n_int + block.n_gam] = grad
+    return SqpEval(rho=rho, con=con, blocks=blocks,
+                   block_max_seconds=max(b.seconds for b in blocks),
+                   block_sum_seconds=sum(b.seconds for b in blocks))
 
 
 def _kkt_matrix(prob: SqpProblem, ev: SqpEval):
@@ -263,9 +270,17 @@ class SqpResult:
 
 
 def iterate(prob: SqpProblem, x0, lam0=None,
-            cfg: SqpConfig = SqpConfig()) -> SqpResult:
+            cfg: SqpConfig = SqpConfig(), start: SqpEval | None = None
+            ) -> SqpResult:
     """Run the SQP loop from ``(x0, lam0)`` until the optimality norm
-    drops below ``cfg.tol`` or the iteration budget is exhausted."""
+    drops below ``cfg.tol`` or the iteration budget is exhausted.
+
+    ``start`` is an evaluation at ``x0`` (at any multipliers) that the
+    caller already made, such as the multiplier least-squares sweep; its
+    blocks are reused instead of evaluating ``x0`` again (only the
+    gradient depends on the multipliers), with bitwise the same
+    iterates.
+    """
     x = np.array(x0, dtype=float)
     if x.shape != (prob.n_primal,):
         raise ValueError("initial point has wrong length")
@@ -276,7 +291,8 @@ def iterate(prob: SqpProblem, x0, lam0=None,
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(lam))):
         raise ValueError("initial point must be finite")
 
-    ev = eval_gradients(prob, x, lam)
+    ev = (eval_gradients(prob, x, lam) if start is None
+          else _gradients(prob, start.blocks, start.con, lam))
     merits = [ev.merit]
     objectives = [ev.objective]
     alphas = []

@@ -161,6 +161,25 @@ def test_decoder_rows_bitwise_invariant_under_subsetting():
     assert np.array_equal(sub.decode(xh), full[keep])
 
 
+@pytest.mark.parametrize("tag", ["swish", "sigmoid"])
+def test_decode_and_jacobian_bitwise_equal_separate_calls(tag):
+    # one hidden layer and one CSR product over [a | zp * W1g] give the
+    # bits of the two separate calls, at every width and latent size
+    rng = np.random.default_rng(21)
+    shapes = [(7, 1, 1, 1), (40, 3, 2, 4), (97, 2, 3, 6), (134, 5, 5, 4),
+              (163, 5, 5, 8)]
+    for k, (n_out, band, shift, n) in enumerate(shapes):
+        ae = random_net(n_out, band, shift, n, seed=30 + k, activation=tag)
+        for _ in range(10):
+            xh = 3.0 * rng.normal(size=n)
+            g, J = ae.decode_and_jacobian(xh)
+            assert g.shape == (n_out,) and J.shape == (n_out, n)
+            assert np.array_equal(g, ae.decode(xh))
+            assert np.array_equal(J, ae.jacobian(xh))
+    with pytest.raises(ValueError, match="latent"):
+        ae.decode_and_jacobian(np.zeros(n + 1))
+
+
 # -- parameter counts ----------------------------------------------------
 
 
@@ -395,6 +414,17 @@ def test_srpc_jacobian_is_scattered_blockdiagonal(srpc_setup):
         expected[np.ix_(pos, np.arange(off, off + nl))] = nets[j].jacobian(
             xh[off:off + nl])
     assert np.allclose(J, expected, atol=1e-12)
+
+
+def test_srpc_interface_decode_and_jacobian_bitwise(srpc_setup):
+    part, nets = srpc_setup
+    rng = np.random.default_rng(33)
+    for i in range(4):
+        ae = assemble_srpc_interface(part.ports, nets, i)
+        xh = rng.normal(size=ae.latent_dim)
+        g, J = ae.decode_and_jacobian(xh)
+        assert np.array_equal(g, ae.decode(xh))
+        assert np.array_equal(J, ae.jacobian(xh))
 
 
 def test_srpc_assembly_validation(srpc_setup):

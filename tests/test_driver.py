@@ -41,7 +41,7 @@ from ddrom.partition import assemble_fom_constraints, \
     assemble_rom_constraints, build_partition
 from ddrom.pod import LinearMap
 from ddrom.snapshots import generate, sample_grid
-from ddrom.sqp import SqpConfig, eval_gradients
+from ddrom.sqp import SqpConfig, eval_gradients, iterate
 
 
 @pytest.fixture(scope="module")
@@ -294,7 +294,7 @@ def test_srpc_decoded_compatibility_nmrom(desk):
 def test_rbf_exact_at_training_points(desk, ls_wfpc):
     _, part, snap = desk
     for k in (0, 11, 23):
-        x0, _ = init_guess(ls_wfpc, snap.params[k])
+        x0 = init_guess(ls_wfpc, snap.params[k])[0]
         enc = []
         for i in range(part.n_sub):
             enc.append(ls_wfpc.interior_maps[i].encode(
@@ -573,12 +573,13 @@ def test_rows_evaluated_counts_per_problem(desk, ls_wfpc):
 
 
 class CountingMap:
-    """Forwards to map ``m`` and counts its decode and jacobian calls."""
+    """Forwards to map ``m`` and counts its decode, jacobian and fused
+    decode_and_jacobian calls."""
 
     def __init__(self, m):
         self.m = m
         self.latent_dim, self.ambient_dim = m.latent_dim, m.ambient_dim
-        self.calls = {"decode": 0, "jacobian": 0}
+        self.calls = {"decode": 0, "jacobian": 0, "decode_and_jacobian": 0}
 
     def decode(self, x):
         self.calls["decode"] += 1
@@ -587,6 +588,10 @@ class CountingMap:
     def jacobian(self, x):
         self.calls["jacobian"] += 1
         return self.m.jacobian(x)
+
+    def decode_and_jacobian(self, x):
+        self.calls["decode_and_jacobian"] += 1
+        return self.m.decode_and_jacobian(x)
 
     def encode(self, x):
         return self.m.encode(x)
@@ -600,10 +605,91 @@ def test_wfpc_evaluation_decodes_each_interface_once(desk, name, request):
     prob = build_problem(replace(inst, interface_maps=maps),
                          assemble(grid, snap.params[7]))
     x = perturbed_latent(inst, snap, 7)
-    # the same point twice: one decode per call, nothing memoised
+    # the same point twice: one fused evaluation per call, nothing memoised
     for k in (1, 2):
         eval_gradients(prob, x, np.zeros(prob.n_mult))
-        assert all(m.calls == {"decode": k, "jacobian": k} for m in maps)
+        assert all(m.calls == {"decode": 0, "jacobian": 0,
+                               "decode_and_jacobian": k} for m in maps)
+
+
+class OpaqueMap(CountingMap):
+    """A view of a linear map that the driver does not see is linear, so
+    its blocks take the per-call Jacobian product."""
+
+    def restrict_outputs(self, rows):
+        return OpaqueMap(self.m.restrict_outputs(rows))
+
+
+def test_constant_map_products_match_per_call_path(desk, ls_wfpc,
+                                                   ls_srpc):
+    # POD blocks reuse S M and M[g] computed at the instance's first
+    # build; maps that do not look linear take the per-call product.  Both
+    # agree at another parameter and point, the residual bitwise.
+    grid, part, snap = desk
+    smaller = build_lsrom(part, snap, n_int=5, n_gam=4, constraint="wfpc",
+                          n_c=4)
+    for inst in (replace(ls_wfpc), replace(ls_srpc), smaller,
+                 attach_hr(ls_wfpc, snap, "gappy", n_samples=30)):
+        opaque = replace(
+            inst, interior_maps=[OpaqueMap(m) for m in inst.interior_maps],
+            interface_maps=[OpaqueMap(m) for m in inst.interface_maps])
+        build_problem(inst, assemble(grid, snap.params[3]))
+        ops = assemble(grid, snap.params[7])
+        fast, ref = build_problem(inst, ops), build_problem(opaque, ops)
+        assert all(s[-1] is not None for s in inst._structure)
+        assert all(s[-1] is None for s in opaque._structure)
+        x = perturbed_latent(inst, snap, 7)
+        for b_fast, b_ref, (xi, xg) in zip(fast.blocks, ref.blocks,
+                                           fast.split(x)):
+            Br, R, c, C = b_fast.evaluate(xi, xg)
+            Br_ref, R_ref, c_ref, C_ref = b_ref.evaluate(xi, xg)
+            assert np.array_equal(Br, Br_ref)
+            assert isinstance(R, np.ndarray)
+            assert np.linalg.norm(R - R_ref) <= 1e-12 * np.linalg.norm(R_ref)
+            np.testing.assert_array_equal(c, c_ref)
+            np.testing.assert_array_equal(C, C_ref)
+
+
+@pytest.fixture(scope="module")
+def ls_2x2():
+    grid = Grid2D(24, 8)
+    part = build_partition(grid, 2, 2)
+    snap = generate(grid, sample_grid(4, 3, a_range=(100.0, 5000.0),
+                                      lam_range=(8.0, 20.0)), part)
+    inst = build_lsrom(part, snap, n_int=4, n_gam=3, constraint="wfpc")
+    return fit_initializer(inst, snap)
+
+
+def test_multiplier_sweep_is_handed_to_the_sqp(ls_2x2):
+    # solve_rom evaluates x0 once, for the multiplier least squares, and
+    # the SQP starts from that sweep: one block evaluation fewer per
+    # subdomain than a solve that evaluates x0 again, same bits
+    p = ParameterPoint(1234.0, 13.0)
+    cfg = SqpConfig(tol=1e-8, max_iter=6)
+
+    def counting(inst):
+        maps = [CountingMap(m) for m in inst.interface_maps]
+        return replace(inst, interface_maps=maps), maps
+
+    def evaluations(maps):
+        return sum(m.calls["decode_and_jacobian"] for m in maps)
+
+    inst, maps = counting(ls_2x2)
+    sol, _ = solve_rom(inst, p, cfg, compute_error=False)
+    handed = evaluations(maps)
+    assert handed == 4 * (1 + len(sol.sqp.alpha_history)
+                          + sum(round(np.log2(1 / a))
+                                for a in sol.sqp.alpha_history))
+
+    inst, maps = counting(ls_2x2)
+    prob = build_problem(inst, assemble(inst.partition.grid, p))
+    x0, lam0, _ = init_guess(inst, p, prob=prob)
+    res = iterate(prob, x0, lam0, cfg)
+    assert evaluations(maps) == handed + 4
+    assert res.n_iter == sol.sqp.n_iter >= 2
+    assert np.array_equal(res.x, sol.sqp.x)
+    assert np.array_equal(res.lam, sol.sqp.lam)
+    assert res.merit_history == sol.sqp.merit_history
 
 
 def old_referenced_cols(pattern, rows):

@@ -211,11 +211,33 @@ def test_subnet_jacobian_rows_match():
     assert np.array_equal(sub.jacobian(xh), ae.jacobian(xh)[keep])
 
 
+@pytest.mark.parametrize("n_out,band,shift,n", [
+    (40, 3, 2, 4), (61, 2, 3, 3), (134, 5, 5, 4), (163, 5, 5, 8),
+    (300, 5, 5, 8)])
+def test_subnet_fused_rows_bitwise_equal_full_decoder(n_out, band, shift, n):
+    # criterion 5 through the fused path: at every width and row subset,
+    # subnet values and Jacobian rows are the full decoder's bits
+    ae = make_net(n_out + n, n_out, band, shift, n)
+    rng = np.random.default_rng(n_out)
+    for size in (1, n_out // 7 + 1, n_out // 3, n_out - 1, n_out):
+        keep = np.sort(rng.choice(n_out, size=size, replace=False))
+        sub = extract_subnet(ae, keep)
+        for _ in range(5):
+            xh = 3.0 * rng.normal(size=n)
+            g, J = ae.decode_and_jacobian(xh)
+            g_sub, J_sub = sub.decode_and_jacobian(xh)
+            assert np.array_equal(g_sub, g[keep])
+            assert np.array_equal(J_sub, J[keep])
+            assert np.array_equal(g_sub, sub.decode(xh))
+            assert np.array_equal(J_sub, sub.jacobian(xh))
+
+
 def test_subnet_is_a_row_restricted_autoencoder():
     # one decoder implementation: the subnet binds the autoencoder's own
     # evaluation functions, under the autoencoder's field names
     assert Subnet.decode is Autoencoder.decode
     assert Subnet.jacobian is Autoencoder.jacobian
+    assert Subnet.decode_and_jacobian is Autoencoder.decode_and_jacobian
     ae = make_net(18)
     keep = np.array([5, 6, 21])
     sub = extract_subnet(ae, keep)

@@ -438,3 +438,43 @@ def test_fixed_pattern_jacobian_matches_references(nx, ny, row_set):
             np.testing.assert_array_equal(indptr, patterns[0][1])
     with pytest.raises(ValueError, match="grid"):
         rr.at(assemble(Grid2D(nx=nx, ny=ny, nu=0.2), ops.param))
+
+
+# ------------------------------------------------- Jacobian-product kernel
+
+@pytest.mark.parametrize("row_set", ["full", "hr", "u-only", "v-only"])
+def test_jacobian_product_kernel_matches_jacobian_times_M(row_set):
+    g = Grid2D(nx=60, ny=8)
+    part = build_partition(g, 2, 2)
+    n = g.nnode
+    rng = np.random.default_rng(len(row_set))
+    ops_built = assemble(g, ParameterPoint(40.0, 6.0))
+    ops = assemble(g, ParameterPoint(4321.0, 17.5))
+    x_global = rng.normal(size=g.ndof)
+    for sub in part.subdomains:
+        rows = {"full": sub.res_rows,
+                "hr": np.sort(rng.choice(sub.res_rows, 60, replace=False)),
+                "u-only": sub.res_rows[sub.res_rows < n],
+                "v-only": sub.res_rows[sub.res_rows >= n]}[row_set]
+        cols = rng.permutation(part.referenced_cols(rows))
+        rr = RestrictedResidual(ops_built, rows, cols)
+        # a constant M's terms are computed once, before the boundary data
+        # is rebound, and reused at every point
+        M_const = rng.normal(size=(cols.size, 12))
+        const = rr.product_terms(M_const)
+        rr = rr.at(ops)
+        for x in (x_global[cols], np.zeros(cols.size),
+                  100.0 * rng.normal(size=cols.size)):
+            M_call = rng.normal(size=(cols.size, 7))
+            for M, terms in ((M_const, const),
+                             (M_call, rr.product_terms(M_call))):
+                r, JM = rr.residual_and_product(x, terms)
+                assert isinstance(JM, np.ndarray)
+                assert JM.shape == (rows.size, M.shape[1])
+                assert np.array_equal(r, rr.residual(x))
+                ref = rr.jacobian(x) @ M
+                assert np.linalg.norm(JM - ref) <= 1e-12 * np.linalg.norm(ref)
+        # three points, two M, each through both residual paths
+        assert rr.rows_evaluated == 12 * rows.size
+    with pytest.raises(ValueError, match="one row per local column"):
+        rr.product_terms(np.zeros((cols.size + 1, 2)))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from ddrom.burgers import Grid2D
 from ddrom.partition import assemble_fom_constraints, assemble_rom_constraints, build_partition
@@ -153,3 +154,29 @@ def test_srpc_latents_give_fom_port_compatibility(port_setup):
     np.testing.assert_allclose(
         Ahat.matrix @ np.concatenate(stacked_latents), 0.0, atol=1e-14)
     assert np.abs(total).max() <= 1e-12
+
+
+def test_linear_map_decode_and_jacobian_matches_separate_calls():
+    # dense (POD), CSR (the decomposed FOM's identities), a row
+    # restriction of each, and the zero-output map of a block whose
+    # sampled rows read no interior output
+    rng = np.random.default_rng(4)
+    Phi = rng.normal(size=(30, 5))
+    Phi_sparse = sp.random(30, 5, density=0.3, format="csr", random_state=5)
+    maps = [LinearMap(Phi), LinearMap(Phi_sparse),
+            LinearMap(Phi).restrict_outputs([1, 4, 7]),
+            LinearMap(Phi_sparse).restrict_outputs([0, 2, 29]),
+            LinearMap(sp.identity(6, format="csr")),
+            LinearMap(np.zeros((0, 5)))]
+    for m in maps:
+        x = rng.normal(size=m.latent_dim)
+        g, J = m.decode_and_jacobian(x)
+        assert g.shape == (m.ambient_dim,)
+        assert np.array_equal(g, m.decode(x))
+        ref = m.jacobian(x)
+        assert sp.issparse(J) == sp.issparse(ref) == sp.issparse(m.Phi)
+        assert J.shape == ref.shape
+        if sp.issparse(J):
+            assert (J != ref).nnz == 0
+        else:
+            assert np.array_equal(J, ref)

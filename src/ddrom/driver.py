@@ -363,14 +363,14 @@ def _linear_jacobian(m):
     return m.Phi if isinstance(m, LinearMap) else None
 
 
-def _dense(a) -> np.ndarray:
-    return a.toarray() if sp.issparse(a) else np.asarray(a)
-
-
-def _blockdiag(J_int, J_gam) -> np.ndarray:
-    """Dense ``blockdiag(J_int, J_gam)``: the Jacobian of the local decoded
-    state over ``[x_int, x_gam]``."""
-    J_int, J_gam = _dense(J_int), _dense(J_gam)
+def _blockdiag(J_int, J_gam):
+    """``blockdiag(J_int, J_gam)``: the Jacobian of the local decoded state
+    over ``[x_int, x_gam]``, CSR when both blocks are sparse and dense
+    otherwise."""
+    if sp.issparse(J_int) and sp.issparse(J_gam):
+        return sp.block_diag([J_int, J_gam], format="csr")
+    J_int, J_gam = (a.toarray() if sp.issparse(a) else np.asarray(a)
+                    for a in (J_int, J_gam))
     (r, k), (r_g, k_g) = J_int.shape, J_gam.shape
     M = np.zeros((r + r_g, k + k_g))
     M[:r, :k] = J_int
@@ -381,16 +381,14 @@ def _blockdiag(J_int, J_gam) -> np.ndarray:
 def _block_structure(instance: RomInstance, i: int, ops: FomOperators):
     """Everything subdomain ``i``'s residual and constraint need that does
     not depend on the parameter:
-    ``(hr, restricted, sub_int, gam, coupling, sparse, M, terms)``.
+    ``(hr, restricted, sub_int, gam, coupling, terms)``.
 
     ``gam`` is the interface outputs the residual reads off the full
     decode (WFPC) or the interface map restricted to them (SRPC);
     ``coupling`` is ``C A_i`` (WFPC) or the dense ROM constraint block.
-    When both maps are linear, ``M = blockdiag(J_int, J_gam)`` is
-    constant.  ``sparse`` says both of its blocks are sparse; ``M`` is then
-    CSR, or ``None`` when it is the identity (the decomposed FOM).
-    Otherwise ``terms`` is ``restricted.product_terms(M)``, computed once
-    here, or ``None`` when a map is nonlinear and ``M`` changes per call.
+    When both maps are linear, ``M = blockdiag(J_int, J_gam)`` is constant
+    and ``terms`` is ``restricted.product_terms(M)``, computed once here;
+    it is ``None`` when a map is nonlinear and ``M`` changes per call.
     """
     part = instance.partition
     sub = part.subdomains[i]
@@ -413,16 +411,10 @@ def _block_structure(instance: RomInstance, i: int, ops: FomOperators):
         J_gam = _linear_jacobian(gam)
         coupling = instance.rom_constraints.blocks[i].toarray()
     J_int = _linear_jacobian(sub_int)
-    M = terms = None
-    sparse = sp.issparse(J_int) and sp.issparse(J_gam)
-    if sparse:
-        M = sp.block_diag([J_int, J_gam], format="csr")
-        if M.shape[0] == M.shape[1] and not (
-                M != sp.identity(M.shape[0])).nnz:
-            M = None
-    elif J_int is not None and J_gam is not None:
+    terms = None
+    if J_int is not None and J_gam is not None:
         terms = restricted.product_terms(_blockdiag(J_int, J_gam))
-    return hr, restricted, sub_int, gam, coupling, sparse, M, terms
+    return hr, restricted, sub_int, gam, coupling, terms
 
 
 def build_problem(instance: RomInstance, ops: FomOperators) -> SqpProblem:
@@ -430,12 +422,12 @@ def build_problem(instance: RomInstance, ops: FomOperators) -> SqpProblem:
 
     Every block evaluates the residual rows its HR operator samples (all
     rows without HR) from only the decoder outputs those rows reference,
-    calling each map's ``decode_and_jacobian`` once.  The
+    calling each map's ``decode_and_jacobian`` once, and gets its Jacobian
+    product from :meth:`RestrictedResidual.residual_and_product`.  The
     parameter-independent structure is built at the instance's first call
     and reused; each call binds only the boundary data of ``ops``.  A block
-    whose two maps are sparse linear maps returns its Jacobian as CSR,
-    which puts the SQP on its sparse KKT path; all others get their dense
-    Jacobian product from :meth:`RestrictedResidual.residual_and_product`.
+    whose two maps are sparse linear maps (the decomposed FOM's identities)
+    returns its Jacobian as CSR, which puts the SQP on its sparse KKT path.
     """
     part = instance.partition
     if ops.grid != part.grid:
@@ -446,13 +438,13 @@ def build_problem(instance: RomInstance, ops: FomOperators) -> SqpProblem:
                                for i in range(part.n_sub)]
     wfpc = instance.constraint_mode == "wfpc"
     blocks = []
-    for i, (hr, restricted, sub_int, gam, coupling, sparse, M,
+    for i, (hr, restricted, sub_int, gam, coupling,
             terms) in enumerate(instance._structure):
         gam_map = instance.interface_maps[i]
 
         def evaluate(xi, xg, hr=hr, restricted=restricted.at(ops),
                      sub_int=sub_int, gam=gam, coupling=coupling,
-                     gam_map=gam_map, sparse=sparse, M=M, terms=terms):
+                     gam_map=gam_map, terms=terms):
             if wfpc:
                 g, J = gam_map.decode_and_jacobian(xg)
                 v_gam = g[gam]
@@ -462,17 +454,8 @@ def build_problem(instance: RomInstance, ops: FomOperators) -> SqpProblem:
                 c, C = coupling @ xg, coupling
             v_int, J_int = sub_int.decode_and_jacobian(xi)
             v = np.concatenate([v_int, v_gam])
-            if sparse:
-                # constant sparse maps: R stays CSR, the fixed-pattern
-                # Jacobian itself under identity maps
-                R = restricted.jacobian(v)
-                if M is not None:
-                    R = R @ M
-                return (hr.apply_sampled(restricted.residual(v)),
-                        hr.apply_sampled(R), c, C)
             if terms is None:
                 # a nonlinear map: M = blockdiag(J_int, J_gam) at this point
-                # (a sparse map paired with a dense one is densified)
                 terms = restricted.product_terms(
                     _blockdiag(J_int, J[gam] if wfpc else J))
             r, R = restricted.residual_and_product(v, terms)
@@ -530,19 +513,6 @@ def restrict_blocks(partition: Partition, state: np.ndarray):
     """Split a global state into per-subdomain (interior, interface)."""
     return [partition.restrict(i, state)
             for i in range(len(partition.subdomains))]
-
-
-def assemble_global(partition: Partition, states) -> np.ndarray:
-    """Merge per-subdomain states into one global vector; shared interface
-    entries are averaged over the subdomains holding them."""
-    acc = np.zeros(partition.grid.ndof)
-    count = np.zeros(partition.grid.ndof)
-    for sub, (x_int, x_gam) in zip(partition.subdomains, states):
-        acc[sub.interior_cols] += x_int
-        count[sub.interior_cols] += 1
-        acc[sub.interface_cols] += x_gam
-        count[sub.interface_cols] += 1
-    return acc / np.maximum(count, 1)
 
 
 def relative_error(fom_blocks, rom_blocks) -> float:

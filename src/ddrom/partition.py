@@ -325,9 +325,8 @@ class RestrictedResidual:
     was computed.
 
     Construction does the symbolic work once: the row-restricted
-    operators and the Jacobian's sparsity pattern, which depend only on
-    the grid.  :meth:`at` rebinds the parameter-dependent boundary data
-    and shares everything else.
+    operators, which depend only on the grid.  :meth:`at` rebinds the
+    parameter-dependent boundary data and shares everything else.
     """
 
     def __init__(self, ops: FomOperators, rows, cols):
@@ -368,39 +367,10 @@ class RestrictedResidual:
         # S = [Bx; By; Cdiff] on the selected rows (its first 2m rows are
         # D = [Bx; By]), and each row's own-node u and v columns (the
         # Hadamard factors)
-        D = sp.vstack([remap(ops.Bx), remap(ops.By)], format="csr")
-        Cd = remap(ops.Cdiff)
-        self._S = sp.vstack([D, Cd], format="csr")
+        self._S = sp.vstack([remap(ops.Bx), remap(ops.By), remap(ops.Cdiff)],
+                            format="csr")
         self._g = np.concatenate([gather_idx(0), gather_idx(n)])
-
-        # Jacobian terms, summed per entry in this order:
-        #   diag(Bx x - bx) Eu + diag(x_u) Bx + diag(x_v) By
-        #   + diag(By x - by) Ev + Cdiff.
-        # The first four are scale[src] * coeff with the per-call
-        # scale = [D x - [bx; by], x_u, x_v]; Cdiff is constant and last.
-        k = np.arange(m)
-        D, Cd = D.tocoo(), Cd.tocoo()
-        t_row, t_col, self._coeff, self._src = (
-            np.concatenate(parts) for parts in zip(
-                (k, self._g[:m], np.ones(m), k),
-                (D.row % m, D.col, D.data, 2 * m + D.row),
-                (k, self._g[m:], np.ones(m), m + k)))
-        # the fixed pattern: union of all five supports, row-major with
-        # sorted columns
-        key = t_row * cols.size + t_col
-        cd_key = Cd.row * cols.size + Cd.col
-        keys = np.union1d(key, cd_key)
-        self._pos = np.searchsorted(keys, key)
-        self._cd = np.zeros(keys.size)
-        self._cd[np.searchsorted(keys, cd_key)] = Cd.data
-        # built through the constructor once, so the index arrays already
-        # have the dtype scipy picks and the per-call wrap does not convert
-        row_nnz = np.bincount(keys // cols.size, minlength=m)
-        pattern = sp.csr_matrix(
-            (np.zeros(keys.size), keys % cols.size,
-             np.concatenate([[0], np.cumsum(row_nnz)])),
-            shape=(m, cols.size))
-        self._indices, self._indptr = pattern.indices, pattern.indptr
+        self._identity_terms = None
         self._bind(ops)
 
     def _bind(self, ops: FomOperators):
@@ -424,58 +394,84 @@ class RestrictedResidual:
 
     def _residual(self, x):
         """``(r, d, xg)``: the residual, ``d = D x - [bx; by]`` and the
-        own-node u and v entries ``xg`` of ``x``; counts the rows."""
+        own-node u and v entries ``xg`` of ``x``."""
         if x.shape != (self.n_cols,):
             raise ValueError("local state has wrong length")
-        self.rows_evaluated += self.n_rows
         m = self.n_rows
         s = self._S @ x
         d, xg = s[:2 * m] - self._b, x[self._g]
         return xg[:m] * d[:m] + xg[m:] * d[m:] + s[2 * m:] + self._c, d, xg
 
     def residual(self, x: np.ndarray) -> np.ndarray:
+        self.rows_evaluated += self.n_rows
         return self._residual(x)[0]
 
     def jacobian(self, x: np.ndarray) -> sp.csr_matrix:
-        if x.shape != (self.n_cols,):
-            raise ValueError("local state has wrong length")
-        m = self.n_rows
-        scale = np.concatenate([(self._S @ x)[:2 * m] - self._b, x[self._g]])
-        # bincount adds in input order, so per entry in term order
-        data = np.bincount(self._pos, weights=scale[self._src] * self._coeff,
-                           minlength=self._cd.size)
-        data += self._cd
-        return sp.csr_matrix((data, self._indices, self._indptr),
-                             shape=(self.n_rows, self.n_cols))
+        """The residual Jacobian: :meth:`residual_and_product`'s kernel
+        with ``M`` the identity, whose terms are built on the first call."""
+        if self._identity_terms is None:
+            self._identity_terms = self.product_terms(
+                sp.identity(self.n_cols, format="csr"))
+        return self._product(*self._residual(x)[1:], self._identity_terms)
 
-    def product_terms(self, M: np.ndarray):
-        """``(S M, M[g])`` for a dense ``M`` over the local columns: the
-        parts of ``jacobian(x) @ M`` that do not depend on ``x``, to pass
-        to :meth:`residual_and_product` (once per ``M`` when it is
-        constant)."""
-        M = np.asarray(M, dtype=float)
+    def product_terms(self, M):
+        """The parts of ``jacobian(x) @ M`` that do not depend on ``x``, to
+        pass to :meth:`residual_and_product` (once per ``M`` when it is
+        constant): the five terms ``M[g_u], Bx M, By M, M[g_v], Cdiff M``.
+
+        For a dense ``M`` they are dense rows.  For a sparse ``M`` they are
+        value rows over the union of their sparsity patterns (row-major,
+        sorted columns), so the product is CSR with that pattern at every
+        ``x``.
+        """
+        if not sp.issparse(M):
+            M = np.asarray(M, dtype=float)
         if M.ndim != 2 or M.shape[0] != self.n_cols:
             raise ValueError("M must have one row per local column")
-        return self._S @ M, M[self._g]
+        m = self.n_rows
+        SM, MG = self._S @ M, M[self._g]
+        terms = (MG[:m], SM[:m], SM[m:2 * m], MG[m:], SM[2 * m:])
+        if not sp.issparse(M):
+            return terms, np.s_[:, None], None
+        k = np.int64(M.shape[1])
+        coo = [t.tocoo() for t in terms]
+        keys = np.unique(np.concatenate([t.row * k + t.col for t in coo]))
+        values = np.zeros((5, keys.size))
+        for v, t in zip(values, coo):
+            v[np.searchsorted(keys, t.row * k + t.col)] = t.data
+        # built through the constructor once, so the index arrays already
+        # have the dtype scipy picks and the per-call wrap does not convert
+        pattern = sp.csr_matrix(
+            (np.zeros(keys.size), keys % k, np.concatenate(
+                [[0], np.cumsum(np.bincount(keys // k, minlength=m))])),
+            shape=(m, k))
+        return tuple(values), keys // k, pattern
+
+    def _product(self, d, xg, terms):
+        """``jacobian(x) @ M`` from ``d``, ``xg`` and ``product_terms(M)``:
+        the row-scaled terms summed per entry in the fixed order
+        ``d_u T0 + x_u T1 + x_v T2 + d_v T3 + T4``.  The scales are
+        broadcast over dense rows or gathered by each nonzero's row."""
+        m = self.n_rows
+        (T0, T1, T2, T3, T4), at, pattern = terms
+        JM = d[:m][at] * T0
+        JM += xg[:m][at] * T1
+        JM += xg[m:][at] * T2
+        JM += d[m:][at] * T3
+        JM += T4
+        if pattern is None:
+            return JM
+        return sp.csr_matrix((JM, pattern.indices, pattern.indptr),
+                             shape=pattern.shape)
 
     def residual_and_product(self, x: np.ndarray, terms):
-        """``(residual(x), jacobian(x) @ M)`` as dense arrays, with
-        ``terms = product_terms(M)``.
-
-        The residual is bitwise :meth:`residual`'s; the product is the
-        five row-scaled terms ``diag(d_u) M[g_u] + diag(x_u) Bx M +
-        diag(x_v) By M + diag(d_v) M[g_v] + Cdiff M``, with no sparse
-        Jacobian formed.
-        """
+        """``(residual(x), jacobian(x) @ M)`` with ``terms =
+        product_terms(M)``: the product is dense for a dense ``M`` and CSR
+        for a sparse one, with no Jacobian formed.  The residual is
+        bitwise :meth:`residual`'s, and the rows are counted once."""
+        self.rows_evaluated += self.n_rows
         r, d, xg = self._residual(x)
-        m = self.n_rows
-        SM, MG = terms
-        JM = d[:m, None] * MG[:m]
-        JM += xg[:m, None] * SM[:m]
-        JM += xg[m:, None] * SM[m:2 * m]
-        JM += d[m:, None] * MG[m:]
-        JM += SM[2 * m:]
-        return r, JM
+        return r, self._product(d, xg, terms)
 
 
 def build_partition(grid: Grid2D, nsub_x: int, nsub_y: int) -> Partition:

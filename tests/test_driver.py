@@ -17,7 +17,6 @@ from ddrom.burgers import residual as fom_residual
 from ddrom.driver import (
     RbfInitializer,
     RomInstance,
-    assemble_global,
     attach_hr,
     benchmark_sweep,
     build_dd_fom,
@@ -31,7 +30,6 @@ from ddrom.driver import (
     multiplier_least_squares,
     port_latent_dims,
     relative_error,
-    restrict_blocks,
     solve_rom,
     verify_bounds,
     wfpc_test_matrix,
@@ -165,13 +163,6 @@ def test_relative_error_rejects_zero_reference():
         relative_error(fom, rom)
     with pytest.raises(ValueError, match="block counts"):
         relative_error(fom, rom + rom)
-
-
-def test_restrict_assemble_round_trip(desk):
-    grid, part, snap = desk
-    state = snap.states[:, 3]
-    back = assemble_global(part, restrict_blocks(part, state))
-    np.testing.assert_allclose(back, state, rtol=0, atol=1e-14)
 
 
 # ------------------------------------------------------------ degeneration
@@ -505,13 +496,16 @@ def test_cached_structure_matches_fresh_build(desk, name, request):
                                        ("dd-fom", "collocation")])
 def test_block_jacobian_is_csr_only_for_sparse_maps(desk, name, mode,
                                                     request):
-    grid, _, snap = desk
+    grid, part, snap = desk
     inst = instance_named(name, request)
     if mode is not None:
         inst = attach_hr(inst, snap, mode, n_samples=30)
-    prob = build_problem(inst, assemble(grid, snap.params[7]))
+    ops = assemble(grid, snap.params[7])
+    prob = build_problem(inst, ops)
     x = perturbed_latent(inst, snap, 7)
-    for blk, (xi, xg) in zip(prob.blocks, prob.split(x)):
+    for blk, sub, (xi, xg), (zi, zg) in zip(
+            prob.blocks, part.subdomains, prob.split(x),
+            prob.split(np.zeros(x.size))):
         _, R, _, C = blk.evaluate(xi, xg)
         assert isinstance(C, np.ndarray)
         if name != "dd-fom":
@@ -519,11 +513,17 @@ def test_block_jacobian_is_csr_only_for_sparse_maps(desk, name, mode,
             continue
         assert sp.issparse(R) and R.format == "csr"
         if mode is None:
-            # identity maps: R is the fixed-pattern residual Jacobian itself
-            J = restricted_of(blk).jacobian(np.concatenate([xi, xg]))
-            assert R.nnz == J.nnz
-            np.testing.assert_array_equal(R.indices, J.indices)
-            np.testing.assert_array_equal(R.data, J.data)
+            # identity maps: R is the residual Jacobian itself, with one
+            # sparsity pattern at every point, the zero state included
+            state = np.zeros(grid.ndof)
+            state[sub.interior_cols], state[sub.interface_cols] = xi, xg
+            J = fom_jacobian(ops, state)[sub.res_rows][
+                :, np.concatenate([sub.interior_cols, sub.interface_cols])]
+            assert R.has_sorted_indices
+            assert_rel_close(R.toarray(), J.toarray())
+            R0 = blk.evaluate(zi, zg)[1]
+            np.testing.assert_array_equal(R0.indices, R.indices)
+            np.testing.assert_array_equal(R0.indptr, R.indptr)
 
 
 def test_instance_copies_start_without_structure(desk, ls_wfpc):

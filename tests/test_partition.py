@@ -1,5 +1,7 @@
 """Domain decomposition: index sets, ports, constraints, subdomain residuals."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -369,10 +371,9 @@ def test_restricted_residual_requires_referenced_columns():
 # ------------------------------------------------- fixed-pattern Jacobian
 
 def sparse_formula_jacobian(ops, rows, cols, x):
-    """Reference: the per-call sparse formula the fixed-pattern fill
-    replaced -- diagonal scalings of the row-restricted operators and
-    one-hot couplings, summed per velocity block, stacked and permuted
-    back to row order."""
+    """Reference: the Jacobian as a per-call sparse formula -- diagonal
+    scalings of the row-restricted operators and one-hot couplings, summed
+    per velocity block, stacked and permuted back to row order."""
     n = ops.grid.nnode
     lookup = np.full(2 * n, -1, dtype=np.int64)
     lookup[cols] = np.arange(cols.size)
@@ -442,6 +443,20 @@ def test_fixed_pattern_jacobian_matches_references(nx, ny, row_set):
 
 # ------------------------------------------------- Jacobian-product kernel
 
+def product_matrix(kind, cols, n_global, rng, n_out):
+    """An ``M`` over the local columns: dense, or CSR as a row selection
+    (the global-to-local restriction, as under HR), the identity, or
+    random."""
+    if kind == "dense":
+        return rng.normal(size=(cols.size, n_out))
+    if kind == "rows":
+        return sp.identity(n_global, format="csr")[cols]
+    if kind == "identity":
+        return sp.identity(cols.size, format="csr")
+    return sp.random(cols.size, n_out, density=0.3, format="csr",
+                     random_state=rng)
+
+
 @pytest.mark.parametrize("row_set", ["full", "hr", "u-only", "v-only"])
 def test_jacobian_product_kernel_matches_jacobian_times_M(row_set):
     g = Grid2D(nx=60, ny=8)
@@ -451,7 +466,10 @@ def test_jacobian_product_kernel_matches_jacobian_times_M(row_set):
     ops_built = assemble(g, ParameterPoint(40.0, 6.0))
     ops = assemble(g, ParameterPoint(4321.0, 17.5))
     x_global = rng.normal(size=g.ndof)
-    for sub in part.subdomains:
+    x_zero_half = x_global.copy()
+    x_zero_half[rng.random(g.ndof) < 0.5] = 0.0
+    for sub, M_kind in itertools.product(
+            part.subdomains, ["dense", "rows", "identity", "random"]):
         rows = {"full": sub.res_rows,
                 "hr": np.sort(rng.choice(sub.res_rows, 60, replace=False)),
                 "u-only": sub.res_rows[sub.res_rows < n],
@@ -460,21 +478,39 @@ def test_jacobian_product_kernel_matches_jacobian_times_M(row_set):
         rr = RestrictedResidual(ops_built, rows, cols)
         # a constant M's terms are computed once, before the boundary data
         # is rebound, and reused at every point
-        M_const = rng.normal(size=(cols.size, 12))
+        M_const = product_matrix(M_kind, cols, g.ndof, rng, 12)
         const = rr.product_terms(M_const)
         rr = rr.at(ops)
-        for x in (x_global[cols], np.zeros(cols.size),
+        patterns = []
+        for x in (x_global[cols], np.zeros(cols.size), x_zero_half[cols],
                   100.0 * rng.normal(size=cols.size)):
-            M_call = rng.normal(size=(cols.size, 7))
+            M_call = product_matrix(M_kind, cols, g.ndof, rng, 7)
             for M, terms in ((M_const, const),
                              (M_call, rr.product_terms(M_call))):
                 r, JM = rr.residual_and_product(x, terms)
-                assert isinstance(JM, np.ndarray)
-                assert JM.shape == (rows.size, M.shape[1])
                 assert np.array_equal(r, rr.residual(x))
-                ref = rr.jacobian(x) @ M
-                assert np.linalg.norm(JM - ref) <= 1e-12 * np.linalg.norm(ref)
-        # three points, two M, each through both residual paths
-        assert rr.rows_evaluated == 12 * rows.size
+                assert JM.shape == (rows.size, M.shape[1])
+                if M_kind == "dense":
+                    assert isinstance(JM, np.ndarray)
+                else:
+                    assert isinstance(JM, sp.csr_matrix)
+                    assert JM.has_sorted_indices
+                    if M is M_const:
+                        patterns.append((JM.indices, JM.indptr))
+                    JM = JM.toarray()
+                for J in (rr.jacobian(x),
+                          sparse_formula_jacobian(ops, rows, cols, x)):
+                    ref = J @ M
+                    ref = ref.toarray() if sp.issparse(ref) else ref
+                    assert (np.linalg.norm(JM - ref)
+                            <= 1e-12 * np.linalg.norm(ref))
+        # a sparse product keeps one pattern at every point, zeros included
+        for indices, indptr in patterns[1:]:
+            np.testing.assert_array_equal(indices, patterns[0][0])
+            np.testing.assert_array_equal(indptr, patterns[0][1])
+        # four points, two M, each through both residual paths
+        assert rr.rows_evaluated == 16 * rows.size
     with pytest.raises(ValueError, match="one row per local column"):
         rr.product_terms(np.zeros((cols.size + 1, 2)))
+    with pytest.raises(ValueError, match="one row per local column"):
+        rr.product_terms(sp.identity(cols.size + 1, format="csr"))

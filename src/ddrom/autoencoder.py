@@ -33,6 +33,8 @@ from .snapshots import NormalizationStats, split_columns
 BATCH_SIZE = 32         # snapshot columns per Adam mini-batch
 LEARNING_RATE = 1e-3    # initial Adam step size
 PLATEAU_FACTOR = 0.1    # learning-rate factor per validation plateau
+PLATEAU_PATIENCE = 50   # epochs without improvement before an lr drop
+EARLY_STOP_PATIENCE = 300  # epochs without improvement before stopping
 VAL_FRACTION = 0.1      # share of snapshot columns held out for validation
 
 
@@ -190,17 +192,14 @@ class Autoencoder:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Training length, schedule patiences and seed (Adam: see above)."""
+    """Training length and seed (Adam and its schedule: see above)."""
 
     epochs: int = 2000
-    plateau_patience: int = 50
-    early_stop_patience: int = 300
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.epochs, self.plateau_patience,
-               self.early_stop_patience) < 1:
-            raise ValueError("training configuration values must be positive")
+        if self.epochs < 1:
+            raise ValueError("epochs must be positive")
 
 
 def _init_autoencoder(mask: BandedMask, n: int, activation: str,
@@ -343,10 +342,10 @@ def train(X: np.ndarray, mask: BandedMask, n: int,
         else:
             since_improve += 1
             since_plateau += 1
-        if since_plateau >= cfg.plateau_patience:
+        if since_plateau >= PLATEAU_PATIENCE:
             opt.lr *= PLATEAU_FACTOR
             since_plateau = 0
-        if since_improve >= cfg.early_stop_patience:
+        if since_improve >= EARLY_STOP_PATIENCE:
             break
 
     if best_weights is not None:

@@ -21,13 +21,11 @@ import time
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
 from . import __version__, binio
-from .autoencoder import TrainConfig, assemble_srpc_interface, load_net, \
-    save_net
+from .autoencoder import TrainConfig, load_net, save_net
 from .burgers import Grid2D, ParameterPoint, solve_monolithic
 from .driver import (
     attach_hr,
@@ -38,13 +36,13 @@ from .driver import (
     hr_operator,
     hr_sample,
     instance_from_maps,
-    port_latent_dims,
+    pod_maps,
     solve_rom,
     train_nets,
     verify_bounds,
 )
 from .partition import build_partition
-from .pod import LinearMap, pod, port_interface_basis
+from .pod import LinearMap, pod
 from .snapshots import generate, load, sample_grid, save
 from .sqp import SqpConfig
 
@@ -165,22 +163,20 @@ def cmd_snapshots(args, t0):
 def cmd_train_pod(args, t0):
     snap = load(args.snapshots)
     part = build_partition(snap.grid, snap.nsub_x, snap.nsub_y)
-    mats, dims = {}, {}
-    for i in range(part.n_sub):
-        for tag, X, n in (("interior", snap.interior[i], args.ni_omega),
-                          ("interface", snap.interface[i], args.ni_gamma)):
-            if args.energy is not None:
-                basis = pod(X, tol=args.energy)
-            else:
-                basis = pod(X, fixed_n=min(n, *X.shape))
-            mats[f"{tag}_{i}"] = basis.Phi
-            dims[f"n_{tag}_{i}"] = basis.n
+    if args.energy is not None:
+        maps = {tag: [LinearMap(pod(X[i], tol=args.energy).Phi)
+                      for i in range(part.n_sub)]
+                for tag, X in (("interior", snap.interior),
+                               ("interface", snap.interface))}
+    else:
+        maps = pod_maps(part, snap, args.ni_omega, args.ni_gamma, "wfpc")
+    mats = {f"{tag}_{i}": maps[tag][i].Phi for i in range(part.n_sub)
+            for tag in ("interior", "interface")}
     if args.port_n is not None:
-        pdims = port_latent_dims(part.ports, args.port_n)
-        for j, d in pdims.items():
-            basis = pod(snap.port[j], fixed_n=min(d, snap.n_mu))
-            mats[f"port_{j}"] = basis.Phi
-            dims[f"n_port_{j}"] = basis.n
+        ports = pod_maps(part, snap, args.ni_omega, args.port_n,
+                         "srpc")["port"]
+        mats.update((f"port_{j}", m.Phi) for j, m in ports.items())
+    dims = {f"n_{name}": Phi.shape[1] for name, Phi in mats.items()}
     _log("train-pod", f"{len(mats)} bases")
     with _atomic_dir(args.out) as out:
         binio.write_matrices(out / "bases.bin", mats)
@@ -230,54 +226,43 @@ def cmd_hr_build(args, t0):
     return args.out
 
 
-def _load_lsrom(part, maps_dir, args):
-    mats = binio.read_matrices(Path(maps_dir) / "bases.bin")
+def _load_maps(part, args) -> dict:
+    """The stored map set in ``train_nets``' layout: POD bases from
+    ``bases.bin`` (lsrom) or one net file per map (nmrom)."""
+    maps_dir = Path(args.maps)
+    if args.rom == "lsrom":
+        mats = binio.read_matrices(maps_dir / "bases.bin")
 
-    def lm(name):
-        if name not in mats:
-            raise ValueError(f"{maps_dir}/bases.bin is missing {name}; "
-                             "was train-pod run with the right flags?")
-        return LinearMap(np.ascontiguousarray(mats[name]))
+        def load_map(name):
+            if name not in mats:
+                raise ValueError(f"{maps_dir}/bases.bin is missing {name}; "
+                                 "was train-pod run with the right flags "
+                                 "(--port-n for srpc)?")
+            return LinearMap(np.ascontiguousarray(mats[name]))
+    else:
+        def load_map(name):
+            return load_net(maps_dir / f"{name}.bin")
 
-    interior = [lm(f"interior_{i}") for i in range(part.n_sub)]
+    maps = {"interior": [load_map(f"interior_{i}")
+                         for i in range(part.n_sub)]}
     if args.constraint == "wfpc":
-        gams = [lm(f"interface_{i}") for i in range(part.n_sub)]
-        return interior, gams, None
-    bases = {}
-    for p in part.ports.ports:
-        Phi = np.ascontiguousarray(mats.get(f"port_{p.index}", np.empty(0)))
-        if Phi.size == 0:
-            raise ValueError(f"{maps_dir}/bases.bin has no port bases; "
-                             "rerun train-pod with --port-n")
-        bases[p.index] = SimpleNamespace(Phi=Phi, n=Phi.shape[1])
-    gams = [LinearMap(port_interface_basis(part.ports, bases, i))
-            for i in range(part.n_sub)]
-    return interior, gams, {j: b.n for j, b in bases.items()}
-
-
-def _load_nmrom(part, maps_dir, args):
-    maps_dir = Path(maps_dir)
-    interior = [load_net(maps_dir / f"interior_{i}.bin")
-                for i in range(part.n_sub)]
-    if args.constraint == "wfpc":
-        gams = [load_net(maps_dir / f"interface_{i}.bin")
-                for i in range(part.n_sub)]
-        return interior, gams, None
-    port_nets = {p.index: load_net(maps_dir / f"port_{p.index}.bin")
-                 for p in part.ports.ports}
-    gams = [assemble_srpc_interface(part.ports, port_nets, i)
-            for i in range(part.n_sub)]
-    return interior, gams, {j: n.latent_dim for j, n in port_nets.items()}
+        maps["interface"] = [load_map(f"interface_{i}")
+                             for i in range(part.n_sub)]
+    else:
+        maps["port"] = {p.index: load_map(f"port_{p.index}")
+                        for p in part.ports.ports}
+    return maps
 
 
 def _build_instance(part, snap, args):
-    loader = _load_lsrom if args.rom == "lsrom" else _load_nmrom
-    interior, gams, port_dims = loader(part, args.maps, args)
+    maps = _load_maps(part, args)
+    # the first interface (wfpc) or port (srpc) map's size as the request
+    n_gam = maps.get("interface", maps.get("port"))[0].latent_dim
     prov = {"rom": args.rom, "constraint": args.constraint, "hr": args.hr,
-            "n_int": interior[0].latent_dim, "n_gam": gams[0].latent_dim}
-    inst = instance_from_maps(part, interior, gams, args.constraint,
-                              port_dims, prov, n_gam=gams[0].latent_dim,
-                              n_c=args.nc, wfpc_seed=args.wfpc_seed)
+            "n_int": maps["interior"][0].latent_dim, "n_gam": n_gam}
+    inst = instance_from_maps(part, maps, args.constraint, prov,
+                              n_gam=n_gam, n_c=args.nc,
+                              wfpc_seed=args.wfpc_seed)
     if args.hr == "none":
         return inst
     if args.hr_dir is not None:

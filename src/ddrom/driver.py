@@ -123,12 +123,23 @@ class RomInstance:
                 raise ValueError(f"interface map {i} has wrong ambient dim")
         if self.constraint_mode not in ("wfpc", "srpc"):
             raise ValueError("constraint mode must be 'wfpc' or 'srpc'")
-        if self.constraint_mode == "wfpc" and self.wfpc_C is None:
-            raise ValueError("wfpc mode needs a test matrix C")
-        if self.constraint_mode == "wfpc" and self.fom_constraints is None:
-            self.fom_constraints = assemble_fom_constraints(part.ports)
-        if self.constraint_mode == "srpc" and self.rom_constraints is None:
+        if self.constraint_mode == "wfpc":
+            if self.wfpc_C is None:
+                raise ValueError("wfpc mode needs a test matrix C")
+            if self.fom_constraints is None:
+                self.fom_constraints = assemble_fom_constraints(part.ports)
+            if self.wfpc_C.shape[1] != self.fom_constraints.n_rows:
+                raise ValueError("wfpc test matrix C needs one column per "
+                                 "FOM port constraint")
+            return
+        if self.rom_constraints is None:
             raise ValueError("srpc mode needs assembled ROM constraints")
+        for i, (block, g) in enumerate(zip(self.rom_constraints.blocks,
+                                           self.interface_maps)):
+            if block.shape[1] != g.latent_dim:
+                raise ValueError(f"subdomain {i}: ROM constraint block width "
+                                 f"{block.shape[1]} != interface latent dim "
+                                 f"{g.latent_dim}")
 
     @property
     def n_mult(self) -> int:
@@ -182,30 +193,55 @@ def default_n_c(part, n_gam: int, n_rows: int) -> int:
     return min(max(2 * srpc_rows, 1), n_rows)
 
 
-def instance_from_maps(partition: Partition, interior, gams,
-                       constraint: str, port_dims, provenance: dict, *,
-                       n_gam: int, n_c: int | None = None,
+def pod_maps(partition: Partition, snap, n_int: int, n_gam: int,
+             constraint: str = "wfpc") -> dict:
+    """POD maps for one LS-ROM configuration, in ``train_nets``' layout;
+    each basis is capped by its snapshots' shape and numerical rank."""
+    def fit(X, n):
+        return LinearMap(pod(X, fixed_n=min(n, *X.shape)).Phi)
+
+    subs = range(partition.n_sub)
+    maps = {"interior": [fit(snap.interior[i], n_int) for i in subs]}
+    if constraint == "wfpc":
+        maps["interface"] = [fit(snap.interface[i], n_gam) for i in subs]
+    else:
+        maps["port"] = {j: fit(snap.port[j], d) for j, d in
+                        port_latent_dims(partition.ports, n_gam).items()}
+    return maps
+
+
+def instance_from_maps(partition: Partition, maps: dict, constraint: str,
+                       provenance: dict, *, n_gam: int,
+                       n_c: int | None = None,
                        wfpc_seed: int = 0) -> RomInstance:
-    """Couple per-subdomain maps into a ROM instance.
+    """Couple a map set (``pod_maps``/``train_nets`` layout) into a ROM
+    instance.
 
     ``wfpc`` ties the decoded interface traces through the FOM port
     constraints compressed by a seeded C with ``n_c`` rows (default from
-    ``n_gam``); any other mode is ``srpc``, with ROM port constraints on
-    latent port blocks of sizes ``port_dims``.
+    the requested ``n_gam``); any other mode is ``srpc``: each interface
+    map is assembled from the port maps, and the ROM port constraints act
+    on port latent blocks of the port maps' latent dims.
     """
+    interior = maps["interior"]
     if constraint == "wfpc":
         A = assemble_fom_constraints(partition.ports)
         if n_c is None:
             n_c = default_n_c(partition, n_gam, A.n_rows)
         return RomInstance(partition=partition, interior_maps=interior,
-                           interface_maps=gams, constraint_mode="wfpc",
-                           fom_constraints=A,
+                           interface_maps=maps["interface"],
+                           constraint_mode="wfpc", fom_constraints=A,
                            wfpc_C=wfpc_test_matrix(n_c, A.n_rows, wfpc_seed),
                            provenance=provenance)
+    ports, pt = maps["port"], partition.ports
+    linear = all(isinstance(m, LinearMap) for m in ports.values())
+    gams = [LinearMap(port_interface_basis(pt, ports, i)) if linear
+            else assemble_srpc_interface(pt, ports, i)
+            for i in range(partition.n_sub)]
+    dims = {j: m.latent_dim for j, m in ports.items()}
     return RomInstance(partition=partition, interior_maps=interior,
                        interface_maps=gams, constraint_mode="srpc",
-                       rom_constraints=assemble_rom_constraints(
-                           partition.ports, port_dims),
+                       rom_constraints=assemble_rom_constraints(pt, dims),
                        provenance=provenance)
 
 
@@ -214,27 +250,11 @@ def build_lsrom(partition: Partition, snap, n_int: int, n_gam: int,
                 n_c: int | None = None) -> RomInstance:
     """POD-based ROM: interior bases per subdomain; interface bases per
     subdomain (wfpc) or assembled from per-port bases (srpc)."""
-    interior = [
-        LinearMap(pod(snap.interior[i],
-                      fixed_n=min(n_int, *snap.interior[i].shape)).Phi)
-        for i in range(len(partition.subdomains))]
     prov = {"rom": "lsrom", "constraint": constraint, "hr": "none",
             "n_int": n_int, "n_gam": n_gam}
-    dims = None
-    if constraint == "wfpc":
-        gams = [LinearMap(pod(snap.interface[i],
-                              fixed_n=min(n_gam, *snap.interface[i].shape)
-                              ).Phi)
-                for i in range(len(partition.subdomains))]
-    else:
-        dims = port_latent_dims(partition.ports, n_gam)
-        dims = {j: min(d, snap.port[j].shape[1]) for j, d in dims.items()}
-        bases = {j: pod(snap.port[j], fixed_n=dims[j]) for j in dims}
-        gams = [LinearMap(port_interface_basis(partition.ports, bases, i))
-                for i in range(len(partition.subdomains))]
-    return instance_from_maps(partition, interior, gams, constraint, dims,
-                              prov, n_gam=n_gam, n_c=n_c,
-                              wfpc_seed=wfpc_seed)
+    return instance_from_maps(
+        partition, pod_maps(partition, snap, n_int, n_gam, constraint),
+        constraint, prov, n_gam=n_gam, n_c=n_c, wfpc_seed=wfpc_seed)
 
 
 def train_nets(partition: Partition, snap, n_int: int, n_gam: int,
@@ -282,16 +302,8 @@ def build_nmrom(partition: Partition, snap, n_int: int, n_gam: int,
                       port_shift=port_shift, train_cfg=train_cfg)
     prov = {"rom": "nmrom", "constraint": constraint, "hr": "none",
             "n_int": n_int, "n_gam": n_gam, "seed": train_cfg.seed}
-    dims = None
-    if constraint == "wfpc":
-        gams = nets["interface"]
-    else:
-        gams = [assemble_srpc_interface(partition.ports, nets["port"], i)
-                for i in range(len(partition.subdomains))]
-        dims = {j: net.latent_dim for j, net in nets["port"].items()}
-    return instance_from_maps(partition, nets["interior"], gams, constraint,
-                              dims, prov, n_gam=n_gam, n_c=n_c,
-                              wfpc_seed=wfpc_seed)
+    return instance_from_maps(partition, nets, constraint, prov,
+                              n_gam=n_gam, n_c=n_c, wfpc_seed=wfpc_seed)
 
 
 def hr_sample(residual_snapshots: np.ndarray, n_res: int, n_samples: int,
@@ -576,7 +588,7 @@ class BenchmarkRecord:
 
 
 def solve_rom(instance: RomInstance, p: ParameterPoint,
-              cfg: SqpConfig = SqpConfig(), *, x0=None, lam0=None,
+              cfg: SqpConfig = SqpConfig(), *, x0=None,
               fom_state=None, fom_seconds: float = np.nan,
               compute_error: bool = True, label: str = ""):
     """Solve the ROM at ``p``; returns ``(RomSolution, BenchmarkRecord)``.
@@ -596,11 +608,9 @@ def solve_rom(instance: RomInstance, p: ParameterPoint,
     t_online = time.perf_counter()
     ops = assemble(part.grid, p)
     prob = build_problem(instance, ops)
-    start = None
     if x0 is None:
-        x0, lam_ls, start = init_guess(instance, p, ops=ops, prob=prob)
-        lam0 = lam_ls if lam0 is None else lam0
-    elif lam0 is None:
+        x0, lam0, start = init_guess(instance, p, ops=ops, prob=prob)
+    else:
         x0 = np.asarray(x0, dtype=float)
         start = eval_gradients(prob, x0, np.zeros(prob.n_mult))
         lam0 = multiplier_least_squares(prob, x0, start)

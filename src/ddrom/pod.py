@@ -105,7 +105,8 @@ class LinearMap:
 
 
 def port_interface_basis(port_table, port_bases: dict, i: int) -> np.ndarray:
-    """Interface basis of subdomain ``i`` assembled from its port bases.
+    """Interface basis of subdomain ``i`` assembled from its port bases
+    (anything with a ``Phi``: a ``PodBasis`` or a ``LinearMap``).
 
     Rows follow the subdomain's sorted interface columns; latent columns are
     the ports' latent blocks in ascending port order (the same layout the
@@ -116,12 +117,12 @@ def port_interface_basis(port_table, port_bases: dict, i: int) -> np.ndarray:
     if not ports:
         raise ValueError(f"subdomain {i} has no ports")
     n_rows = port_table.interface_size(i)
-    n_cols = sum(port_bases[j].n for j in ports)
+    n_cols = sum(port_bases[j].Phi.shape[1] for j in ports)
     Phi = np.zeros((n_rows, n_cols))
     off = 0
     for j in ports:
-        basis = port_bases[j]
+        block = port_bases[j].Phi
         pos = port_table.member_positions(j, i)
-        Phi[pos, off:off + basis.n] = basis.Phi
-        off += basis.n
+        Phi[pos, off:off + block.shape[1]] = block
+        off += block.shape[1]
     return Phi

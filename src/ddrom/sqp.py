@@ -29,6 +29,7 @@ import scipy.sparse.linalg
 from .errors import ConvergenceError
 
 ARMIJO_C1 = 1e-4    # sufficient-decrease constant of the line search
+MAX_HALVINGS = 25   # line-search step halvings before giving up
 REG_SCALE = 1e-12   # KKT fallback regularization, relative to trace(R'R)
 FD_STEP = 1e-6      # convergence_diagnostics' finite-difference step
 
@@ -78,11 +79,10 @@ class SqpConfig:
     tol: float = 1e-4
     max_iter: int = 15
     backtrack_factor: float = 0.5
-    max_halvings: int = 25
 
     def __post_init__(self):
         if (self.tol <= 0 or self.max_iter < 1
-                or not 0 < self.backtrack_factor < 1 or self.max_halvings < 0):
+                or not 0 < self.backtrack_factor < 1):
             raise ValueError("invalid solver configuration")
 
 
@@ -311,7 +311,7 @@ def iterate(prob: SqpProblem, x0, lam0=None,
 
         alpha = 1.0
         accepted = None
-        for _ in range(cfg.max_halvings + 1):
+        for _ in range(MAX_HALVINGS + 1):
             trial = eval_gradients(prob, x + alpha * s, lam + alpha * s_lam)
             t_par += trial.block_max_seconds
             if trial.merit <= (1.0 - ARMIJO_C1 * alpha) * merits[-1]:

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ddrom import autoencoder
 from ddrom.autoencoder import (
     LEARNING_RATE,
     PLATEAU_FACTOR,
@@ -284,11 +285,12 @@ def test_training_restores_best_validation_weights():
     assert np.isclose(loss, history["val_loss"][best], rtol=1e-12)
 
 
-def test_training_lr_drops_on_plateau():
+def test_training_lr_drops_on_plateau(monkeypatch):
     X = bump_snapshots(n_out=16, n_mu=24)
     mask = build_mask(16, 2, 2)
-    cfg = TrainConfig(epochs=400, seed=9, plateau_patience=20,
-                      early_stop_patience=400)
+    monkeypatch.setattr(autoencoder, "PLATEAU_PATIENCE", 20)
+    monkeypatch.setattr(autoencoder, "EARLY_STOP_PATIENCE", 400)
+    cfg = TrainConfig(epochs=400, seed=9)
     _, history = train(X, mask, n=2, cfg=cfg)
     lrs = sorted(set(history["lr"]), reverse=True)
     assert lrs[0] == LEARNING_RATE

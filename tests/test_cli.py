@@ -8,8 +8,13 @@ import numpy as np
 import pytest
 
 from ddrom import binio
+from ddrom.autoencoder import TrainConfig
 from ddrom.burgers import Grid2D, ParameterPoint, solve_monolithic
 from ddrom.cli import dispatch
+from ddrom.driver import build_lsrom, build_nmrom, fit_initializer, solve_rom
+from ddrom.partition import build_partition
+from ddrom.snapshots import load
+from ddrom.sqp import SqpConfig
 
 
 def run(*argv):
@@ -181,6 +186,34 @@ def test_rom_solve_nmrom(pipeline, tmp_path):
                "--lambda", 14, "--tol", "1e-5", "--max-iter", 30,
                "--out", out) == 0
     assert (out / "decoded.bin").exists()
+
+
+@pytest.mark.parametrize("rom, constraint, n_c", [
+    ("lsrom", "wfpc", 4), ("lsrom", "srpc", None), ("nmrom", "wfpc", 3)])
+def test_rom_solve_matches_library_bitwise(pipeline, tmp_path, rom,
+                                           constraint, n_c):
+    """rom-solve on the stored maps and the library builder on the same
+    snapshots give bitwise the same latent solution and multipliers."""
+    argv = ["rom-solve", "--snapshots", pipeline / "snaps", "--rom", rom,
+            "--maps", pipeline / ("pod" if rom == "lsrom" else "ae"),
+            "--constraint", constraint, "--a", 2000, "--lambda", 14,
+            "--tol", "1e-6", "--skip-error", "--out", tmp_path / "r"]
+    if n_c is not None:
+        argv += ["--nc", n_c]
+    assert run(*argv) == 0
+    cli = binio.read_matrices(tmp_path / "r" / "latent.bin")
+
+    snap = load(pipeline / "snaps")
+    part = build_partition(snap.grid, snap.nsub_x, snap.nsub_y)
+    if rom == "lsrom":
+        inst = build_lsrom(part, snap, 6, 4, constraint, n_c=n_c)
+    else:
+        inst = build_nmrom(part, snap, 4, 3, constraint, n_c=n_c,
+                           train_cfg=TrainConfig(epochs=40, seed=1))
+    sol, _ = solve_rom(fit_initializer(inst, snap), ParameterPoint(2000, 14),
+                       SqpConfig(tol=1e-6), compute_error=False)
+    np.testing.assert_array_equal(cli["latent"].ravel(), sol.x_latent)
+    np.testing.assert_array_equal(cli["multipliers"].ravel(), sol.lam)
 
 
 PLAN = """\

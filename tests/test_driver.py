@@ -134,6 +134,33 @@ def test_instance_validation(desk):
         RomInstance(partition=part, interior_maps=good.interior_maps,
                     interface_maps=good.interface_maps,
                     constraint_mode="strong", wfpc_C=good.wfpc_C)
+    with pytest.raises(ValueError, match="one column per"):
+        RomInstance(partition=part, interior_maps=good.interior_maps,
+                    interface_maps=good.interface_maps,
+                    constraint_mode="wfpc", wfpc_C=good.wfpc_C[:, 1:])
+    wide = assemble_rom_constraints(
+        part.ports, {p.index: 4 for p in part.ports.ports})
+    with pytest.raises(ValueError, match="subdomain 0"):
+        RomInstance(partition=part, interior_maps=good.interior_maps,
+                    interface_maps=good.interface_maps,
+                    constraint_mode="srpc", rom_constraints=wide)
+
+
+def test_srpc_constraints_sized_by_rank_deficient_port_maps():
+    """Four identical training points give rank-one port snapshots, so the
+    port bases come out narrower than the requested n_gam = 3; the ROM
+    constraints must take the bases' sizes, not the request."""
+    grid = Grid2D(24, 6)
+    part = build_partition(grid, 2, 1)
+    params = sample_grid(2, 2, a_range=(100, 100), lam_range=(10, 10))
+    snap = generate(grid, params, part)
+    inst = build_lsrom(part, snap, n_int=4, n_gam=3, constraint="srpc")
+    for block, g in zip(inst.rom_constraints.blocks, inst.interface_maps):
+        assert block.shape[1] == g.latent_dim
+    prob = build_problem(inst, assemble(grid, params[0]))
+    ev = eval_gradients(prob, np.zeros(prob.n_primal),
+                        np.zeros(prob.n_mult))
+    assert np.all(np.isfinite(ev.rho))
 
 
 # ------------------------------------------------------------- error metric

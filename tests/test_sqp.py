@@ -8,6 +8,7 @@ import scipy.sparse as sp
 
 from ddrom.burgers import Grid2D, ParameterPoint, assemble, exact_state, \
     solve_monolithic
+from ddrom import sqp
 from ddrom.errors import ConvergenceError
 from ddrom.partition import RestrictedResidual, assemble_fom_constraints, \
     build_partition
@@ -384,7 +385,7 @@ def test_linear_constraint_feasibility_preserved():
         assert np.linalg.norm(ev.con) <= 1e-10
 
 
-def test_line_search_failure_returns_best_iterate_with_flag():
+def test_line_search_failure_returns_best_iterate_with_flag(monkeypatch):
     def evaluate(xi, xg):
         x = xi[0]
         return (np.array([np.sin(3 * x) + 0.1 * x]),
@@ -392,8 +393,8 @@ def test_line_search_failure_returns_best_iterate_with_flag():
                 np.zeros(0), np.zeros((0, 0)))
 
     prob = SqpProblem([SqpBlock(1, 0, evaluate)], 0)
-    cfg = SqpConfig(tol=1e-10, max_halvings=0)
-    res = iterate(prob, np.array([0.5]), cfg=cfg)
+    monkeypatch.setattr(sqp, "MAX_HALVINGS", 0)
+    res = iterate(prob, np.array([0.5]), cfg=SqpConfig(tol=1e-10))
     assert not res.converged
     assert res.failure_reason == "line_search"
     assert res.x[0] == 0.5             # best iterate is the start point

@@ -296,15 +296,17 @@ def cmd_rom_solve(args, t0):
             decoded[f"interface_{i}"] = xg
         binio.write_matrices(out / "decoded.bin", decoded)
         _write_trace_csv(out / "trace.csv",
-                         ["iteration", "merit", "objective", "alpha"],
+                         ["iteration", "merit", "objective", "constraint",
+                          "alpha"],
                          [list(range(len(sol.sqp.merit_history))),
                           sol.sqp.merit_history,
                           sol.sqp.objective_history,
+                          sol.sqp.constraint_history,
                           sol.sqp.alpha_history])
         binio.write_meta(out / "meta.txt", _run_meta(args, t0, {
             "converged": rec.converged, "n_iter": rec.n_iter,
             "error": rec.error, "final_merit": rec.final_merit,
-            "status": rec.status}))
+            "status": rec.status, "stop": sol.sqp.stop_reason}))
     return args.out
 
 
@@ -548,7 +550,10 @@ def _build_parser(defaults: dict | None = None):
                     help="wfpc constraint count (default 2x the srpc "
                          "equivalent, capped at the FOM count)")
     sp.add_argument("--wfpc-seed", type=int, default=0)
-    sp.add_argument("--tol", type=float, default=1e-4)
+    sp.add_argument("--tol", type=float, default=1e-4,
+                    help="SQP stop: optimality norm below TOL, or full "
+                         "Gauss-Newton step at most TOL times the "
+                         "iterate's norm")
     sp.add_argument("--max-iter", type=int, default=15)
     sp.add_argument("--a", type=float)
     sp.add_argument("--lambda", dest="lam", type=float)

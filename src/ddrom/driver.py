@@ -570,11 +570,13 @@ class BenchmarkRecord:
     final_merit: float = np.nan
     status: str = "ok"
     online_seconds: float = np.nan    # assemble through decode, wall
+    final_constraint: float = np.nan  # ||c|| at the last iterate
 
     HEADER = ["label", "rom", "constraint", "hr", "n_int", "n_gam", "a",
               "lambda", "error", "fom_seconds", "rom_seconds",
               "parallel_seconds", "per_iter_seconds", "speedup", "n_iter",
-              "converged", "final_merit", "status", "online_seconds"]
+              "converged", "final_merit", "status", "online_seconds",
+              "final_constraint"]
 
     def row(self):
         c = self.config
@@ -584,7 +586,7 @@ class BenchmarkRecord:
                 self.rom_seconds, self.parallel_seconds,
                 self.per_iter_seconds, self.speedup, self.n_iter,
                 int(self.converged), self.final_merit, self.status,
-                self.online_seconds]
+                self.online_seconds, self.final_constraint]
 
 
 def solve_rom(instance: RomInstance, p: ParameterPoint,
@@ -635,7 +637,8 @@ def solve_rom(instance: RomInstance, p: ParameterPoint,
         n_iter=res.n_iter, converged=res.converged,
         final_merit=res.final_merit,
         status=res.failure_reason or ("ok" if res.converged else "max_iter"),
-        online_seconds=online_seconds)
+        online_seconds=online_seconds,
+        final_constraint=res.final_constraint)
     return RomSolution(x_latent=res.x, lam=res.lam, states=states, sqp=res,
                        error=error), record
 

@@ -7,12 +7,20 @@ Solves
 where each block ``i`` owns an (interior, interface) latent pair and only
 the interface part enters the coupling constraint.  Every iteration solves
 one block-arrow KKT system with Gauss-Newton Hessian blocks and takes a
-damped step chosen by Armijo backtracking on the first-order optimality
-norm.  The same loop serves the decomposed FOM (identity decoders) and all
-ROM variants; blocks are callables, so the solver knows nothing about
-Burgers or autoencoders.  A block Jacobian may be dense or sparse: with
-any sparse one the KKT matrix is assembled sparse and factored by a
-sparse LU, otherwise densely.
+damped step chosen by Armijo backtracking.  A trial step is accepted when
+it gives sufficient decrease of the first-order optimality norm
+||(grad L, c)||, or, failing that, of the l1 merit ``f + mu ||c||_1``
+(``f`` the objective, ``mu`` twice the largest new multiplier), on which
+a Gauss-Newton SQP step always descends (Nocedal & Wright, ch. 18).  The
+solve has converged when the optimality norm drops below ``tol``, or when
+an accepted iteration's full Gauss-Newton step is at most ``tol`` times
+the new iterate's norm; the second test ends nonzero-residual problems
+whose optimality norm has a roundoff floor above ``tol``.  The same loop
+serves the decomposed FOM (identity decoders) and all ROM variants;
+blocks are callables, so the solver knows nothing about Burgers or
+autoencoders.  A block Jacobian may be dense or sparse: with any sparse
+one the KKT matrix is assembled sparse and factored by a sparse LU,
+otherwise densely.
 """
 
 from __future__ import annotations
@@ -254,26 +262,71 @@ def assemble_and_solve_kkt(prob: SqpProblem, ev: SqpEval):
 class SqpResult:
     x: np.ndarray
     lam: np.ndarray
-    converged: bool
+    stop_reason: str    # "merit", "step", "max_iter" or "line_search"
     n_iter: int
     merit_history: list
     objective_history: list
+    constraint_history: list      # ||c|| per iterate
     alpha_history: list
-    failure_reason: str | None = None
     iterates: list = field(default_factory=list, repr=False)
     steps: list = field(default_factory=list, repr=False)
     timings: dict = field(default_factory=dict, repr=False)
 
     @property
+    def converged(self) -> bool:
+        return self.stop_reason in ("merit", "step")
+
+    @property
+    def failure_reason(self) -> str | None:
+        return "line_search" if self.stop_reason == "line_search" else None
+
+    @property
     def final_merit(self) -> float:
         return self.merit_history[-1]
+
+    @property
+    def final_constraint(self) -> float:
+        return self.constraint_history[-1]
+
+
+def _l1_armijo(prob: SqpProblem, ev: SqpEval, lam, s, s_lam):
+    """Armijo test on the l1 merit ``phi = f + mu ||c||_1`` along ``s``.
+
+    ``mu = 2 ||lam + s_lam||_inf`` and the directional derivative is
+    ``grad f' s - mu ||c||_1``, with ``grad f`` the Lagrangian gradient
+    ``ev.rho`` less ``C' lam`` on the interface slices.  Returns
+    ``accepts(trial, alpha)``; it never accepts along a nondescent ``s``.
+    """
+    mu = 2.0 * np.max(np.abs(lam + s_lam), initial=0.0)
+    grad_f = ev.rho.copy()
+    for off, block, be in zip(prob.offsets, prob.blocks, ev.blocks):
+        gs = off + block.n_int
+        grad_f[gs:gs + block.n_gam] -= be.con_jac.T @ lam
+    viol = float(np.abs(ev.con).sum())
+    phi = ev.objective + mu * viol
+    slope = float(grad_f @ s) - mu * viol
+
+    def accepts(trial, alpha):
+        return slope < 0 and (trial.objective + mu * np.abs(trial.con).sum()
+                              <= phi + ARMIJO_C1 * alpha * slope)
+
+    return accepts
 
 
 def iterate(prob: SqpProblem, x0, lam0=None,
             cfg: SqpConfig = SqpConfig(), start: SqpEval | None = None
             ) -> SqpResult:
-    """Run the SQP loop from ``(x0, lam0)`` until the optimality norm
-    drops below ``cfg.tol`` or the iteration budget is exhausted.
+    """Run the SQP loop from ``(x0, lam0)`` until it converges, the
+    iteration budget is exhausted or the line search fails.
+
+    The solve has converged (``stop_reason``) on ``"merit"`` when the
+    optimality norm ||(grad L, c)|| drops below ``cfg.tol``, and on
+    ``"step"`` when, after an accepted iteration, its full Gauss-Newton
+    step ``s`` (not the damped ``alpha * s``, so backtracking cannot fake
+    convergence) satisfies ``||s|| <= cfg.tol * ||x_new||``.  Each trial
+    step is first tested for Armijo decrease of the optimality norm; only
+    if that rejects it is it tested on the l1 merit (:func:`_l1_armijo`),
+    so every step the first test accepts is taken as before.
 
     ``start`` is an evaluation at ``x0`` (at any multipliers) that the
     caller already made, such as the multiplier least-squares sweep; its
@@ -295,15 +348,19 @@ def iterate(prob: SqpProblem, x0, lam0=None,
           else _gradients(prob, start.blocks, start.con, lam))
     merits = [ev.merit]
     objectives = [ev.objective]
+    constraints = [float(np.linalg.norm(ev.con))]
     alphas = []
     iterates = [(x.copy(), lam.copy())]
     steps = []
     timings = {"block_max": [], "kkt": []}
     best = (ev.merit, x.copy(), lam.copy())
-    failure = None
+    stop = "merit" if ev.merit < cfg.tol else None
 
     n_iter = 0
-    while merits[-1] >= cfg.tol and n_iter < cfg.max_iter:
+    while stop is None:
+        if n_iter == cfg.max_iter or np.isnan(merits[-1]):
+            stop = "max_iter"     # a NaN start cannot be solved
+            break
         t_par = ev.block_max_seconds
         t0 = time.perf_counter()
         s, s_lam = assemble_and_solve_kkt(prob, ev)
@@ -311,17 +368,23 @@ def iterate(prob: SqpProblem, x0, lam0=None,
 
         alpha = 1.0
         accepted = None
+        l1_accepts = None
         for _ in range(MAX_HALVINGS + 1):
             trial = eval_gradients(prob, x + alpha * s, lam + alpha * s_lam)
             t_par += trial.block_max_seconds
             if trial.merit <= (1.0 - ARMIJO_C1 * alpha) * merits[-1]:
                 accepted = trial
                 break
+            if l1_accepts is None:
+                l1_accepts = _l1_armijo(prob, ev, lam, s, s_lam)
+            if l1_accepts(trial, alpha):
+                accepted = trial
+                break
             alpha *= cfg.backtrack_factor
         timings["block_max"].append(t_par)
         timings["kkt"].append(t_kkt)
         if accepted is None:
-            failure = "line_search"
+            stop = "line_search"
             break
 
         x += alpha * s
@@ -330,20 +393,23 @@ def iterate(prob: SqpProblem, x0, lam0=None,
         n_iter += 1
         merits.append(ev.merit)
         objectives.append(ev.objective)
+        constraints.append(float(np.linalg.norm(ev.con)))
         alphas.append(alpha)
         iterates.append((x.copy(), lam.copy()))
         steps.append((s.copy(), s_lam.copy()))
         if ev.merit < best[0]:
             best = (ev.merit, x.copy(), lam.copy())
+        if ev.merit < cfg.tol:
+            stop = "merit"
+        elif np.linalg.norm(s) <= cfg.tol * np.linalg.norm(x):
+            stop = "step"
 
-    if failure is not None:
+    if stop == "line_search":
         _, x, lam = best
-    return SqpResult(x=x, lam=lam, converged=bool(merits[-1] < cfg.tol)
-                     and failure is None,
-                     n_iter=n_iter, merit_history=merits,
-                     objective_history=objectives, alpha_history=alphas,
-                     failure_reason=failure, iterates=iterates, steps=steps,
-                     timings=timings)
+    return SqpResult(x=x, lam=lam, stop_reason=stop, n_iter=n_iter,
+                     merit_history=merits, objective_history=objectives,
+                     constraint_history=constraints, alpha_history=alphas,
+                     iterates=iterates, steps=steps, timings=timings)
 
 
 def convergence_diagnostics(prob: SqpProblem, result: SqpResult) -> dict:

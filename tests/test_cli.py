@@ -146,9 +146,12 @@ def test_rom_solve_lsrom_artifacts(pipeline, tmp_path):
             "interface_1"} == set(dec)
     with open(out / "trace.csv") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["iteration", "merit", "objective", "alpha"]
+    assert rows[0] == ["iteration", "merit", "objective", "constraint",
+                       "alpha"]
+    assert all(float(r[3]) >= 0.0 for r in rows[1:])
     meta = binio.read_meta(out / "meta.txt")
     assert meta["converged"] == "True"
+    assert meta["stop"] in ("merit", "step")
     assert float(meta["error"]) < 0.1
 
 

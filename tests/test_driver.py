@@ -216,15 +216,18 @@ def test_dd_fom_matches_monolithic():
 
 @pytest.mark.parametrize("a,lam", [(5000.0, 15.0), (300.0, 10.0)])
 def test_dd_fom_matches_monolithic_at_120x12(a, lam):
-    # the sparse KKT path makes this size a sub-second solve
+    # the sparse KKT path makes this size a sub-second solve; at the
+    # workload tolerance the optimality norm stalls near its roundoff
+    # floor, and the relative step test ends the solve
     grid = Grid2D(120, 12)
     p = ParameterPoint(a, lam)
     part = build_partition(grid, 2, 2)
     x_mono, newton = solve_monolithic(grid, p)
     x0 = np.zeros(sum(s.n_interior + s.n_interface for s in part.subdomains))
-    _, rec = solve_rom(build_dd_fom(part), p, SqpConfig(tol=1e-4), x0=x0,
-                       fom_state=x_mono, fom_seconds=0.1)
+    sol, rec = solve_rom(build_dd_fom(part), p, SqpConfig(tol=1e-6),
+                         x0=x0, fom_state=x_mono, fom_seconds=0.1)
     assert newton.converged and rec.converged
+    assert sol.sqp.stop_reason == "step"
     assert rec.error <= 1e-8
 
 
@@ -809,7 +812,7 @@ def test_benchmark_sweep_schema_and_determinism(desk, ls_wfpc, ls_srpc,
                        "rom_seconds", "parallel_seconds",
                        "per_iter_seconds", "speedup", "n_iter",
                        "converged", "final_merit", "status",
-                       "online_seconds"]
+                       "online_seconds", "final_constraint"]
     assert len(rows) == 1 + 5          # 2 instances x 2 params + absent
     statuses = [r[rows[0].index("status")] for r in rows[1:]]
     assert statuses.count("absent") == 1

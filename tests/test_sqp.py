@@ -320,9 +320,11 @@ def test_quadratic_problem_converges_in_one_step():
     R, b, E, d = global_matrices(prob)
     x0 = rng.normal(size=prob.n_primal)
     res = iterate(prob, x0, cfg=SqpConfig(tol=1e-10))
-    assert res.converged
+    assert res.converged and res.stop_reason == "merit"
     assert res.n_iter == 1
     assert res.alpha_history == [1.0]
+    assert len(res.constraint_history) == 2
+    assert res.final_constraint <= 1e-9
     assert np.allclose(res.x, constrained_lsq_oracle(R, b, E, d), atol=1e-8)
     assert np.linalg.norm(E @ res.x - d) <= 1e-9
 
@@ -385,19 +387,105 @@ def test_linear_constraint_feasibility_preserved():
         assert np.linalg.norm(ev.con) <= 1e-10
 
 
-def test_line_search_failure_returns_best_iterate_with_flag(monkeypatch):
+def wiggly_block(n_far=0):
+    """r = sin(3 x) + 0.1 x on ``x_int[0]``; from x = 1.7 the full
+    Gauss-Newton step raises both the optimality norm and the objective.
+    ``n_far`` more interior unknowns sit solved at 1000 (r = x - 1000)."""
     def evaluate(xi, xg):
         x = xi[0]
-        return (np.array([np.sin(3 * x) + 0.1 * x]),
-                np.array([[3 * np.cos(3 * x) + 0.1]]),
-                np.zeros(0), np.zeros((0, 0)))
+        r = np.concatenate([[np.sin(3 * x) + 0.1 * x], xi[1:] - 1000.0])
+        J = np.eye(1 + n_far)
+        J[0, 0] = 3 * np.cos(3 * x) + 0.1
+        return r, J, np.zeros(0), np.zeros((0, 0))
 
-    prob = SqpProblem([SqpBlock(1, 0, evaluate)], 0)
+    return SqpBlock(1 + n_far, 0, evaluate)
+
+
+def test_line_search_failure_returns_best_iterate_with_flag(monkeypatch):
+    # the one trial step (no halvings) fails both Armijo tests
+    prob = SqpProblem([wiggly_block()], 0)
     monkeypatch.setattr(sqp, "MAX_HALVINGS", 0)
-    res = iterate(prob, np.array([0.5]), cfg=SqpConfig(tol=1e-10))
+    res = iterate(prob, np.array([1.7]), cfg=SqpConfig(tol=1e-10))
     assert not res.converged
     assert res.failure_reason == "line_search"
-    assert res.x[0] == 0.5             # best iterate is the start point
+    assert res.x[0] == 1.7             # best iterate is the start point
+    assert res.stop_reason == "line_search"
+
+
+def test_merit_floor_above_tol_converges_on_the_step_test():
+    # a nonzero-residual least-squares problem scaled by 1e7: at the
+    # minimizer exp(x_int) = 1.6, grad f = J'r cancels terms of size 1e14,
+    # so roundoff keeps the optimality norm above tol for good
+    S = 1e7
+
+    def evaluate(xi, xg):
+        e = np.exp(xi[0])
+        r = S * np.array([e - 1.0, e - 2.2, xg[0] - 2.0])
+        J = S * np.array([[e, 0.0], [e, 0.0], [0.0, 1.0]])
+        return r, J, xg - 1.0, np.eye(1)
+
+    prob = SqpProblem([SqpBlock(1, 1, evaluate)], 1)
+    x0 = np.array([1.0, 0.0])
+    floor = iterate(prob, x0, cfg=SqpConfig(tol=1e-300, max_iter=15))
+    assert floor.stop_reason == "max_iter"
+    assert min(floor.merit_history) >= 1e-4
+    res = iterate(prob, x0, cfg=SqpConfig(tol=1e-4, max_iter=15))
+    assert res.converged and res.stop_reason == "step"
+    assert res.failure_reason is None
+    assert res.final_merit >= 1e-4
+    s, _ = res.steps[-1]
+    assert np.linalg.norm(s) <= 1e-4 * np.linalg.norm(res.x)
+    assert abs(res.x[0] - np.log(1.6)) <= 1e-9
+    assert res.final_constraint <= 1e-12
+
+
+def test_backtracked_step_never_stops_the_solve_by_itself():
+    # a far unknown makes ||x|| ~ 1000; tol sits between the damped and
+    # the full first step relative to it
+    prob = SqpProblem([wiggly_block(n_far=1)], 0)
+    x0 = np.array([1.45, 1000.0])
+    probe = iterate(prob, x0, cfg=SqpConfig(max_iter=1))
+    alpha = probe.alpha_history[0]
+    s, _ = probe.steps[0]
+    x1 = probe.iterates[1][0]
+    assert alpha < 1.0
+    tol = 0.5 * (alpha + 1.0) * np.linalg.norm(s) / np.linalg.norm(x1)
+    assert alpha * np.linalg.norm(s) <= tol * np.linalg.norm(x1)
+    assert probe.merit_history[1] >= tol
+    res = iterate(prob, x0, cfg=SqpConfig(tol=tol, max_iter=30))
+    assert res.n_iter >= 2
+    np.testing.assert_array_equal(res.iterates[1][0], x1)
+    assert res.converged
+
+
+def test_step_raising_optimality_norm_but_lowering_l1_merit_is_taken():
+    # r = (atan(x_int), x_gam - 1), c = x_gam - 0.5: from x_int = 1.2 the
+    # Gauss-Newton step overshoots to -0.94 and lowers |atan|, so the
+    # objective and the constraint violation fall while ||(grad L, c)||
+    # rises
+    def evaluate(xi, xg):
+        r = np.array([np.arctan(xi[0]), xg[0] - 1.0])
+        J = np.array([[1.0 / (1.0 + xi[0] ** 2), 0.0], [0.0, 1.0]])
+        return r, J, xg - 0.5, np.eye(1)
+
+    prob = SqpProblem([SqpBlock(1, 1, evaluate)], 1)
+    res = iterate(prob, np.array([1.2, 0.6]), np.array([0.4]),
+                  SqpConfig(tol=1e-10, max_iter=1))
+    assert res.alpha_history == [1.0]
+    assert res.merit_history[1] > res.merit_history[0]
+    mu = 2 * abs(res.lam[0])
+    phi = [f + mu * c for f, c in zip(res.objective_history,
+                                      res.constraint_history)]
+    assert phi[1] < phi[0]
+
+
+def test_nan_start_ends_unconverged_without_a_step():
+    def evaluate(xi, xg):
+        return np.full(2, np.nan), np.eye(2), np.zeros(0), np.zeros((0, 0))
+
+    res = iterate(SqpProblem([SqpBlock(2, 0, evaluate)], 0), np.ones(2))
+    assert res.stop_reason == "max_iter" and not res.converged
+    assert res.n_iter == 0 and res.failure_reason is None
 
 
 def test_iterate_input_validation():

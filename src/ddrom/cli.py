@@ -260,8 +260,7 @@ def _build_instance(part, snap, args):
     n_gam = maps.get("interface", maps.get("port"))[0].latent_dim
     prov = {"rom": args.rom, "constraint": args.constraint, "hr": args.hr,
             "n_int": maps["interior"][0].latent_dim, "n_gam": n_gam}
-    inst = instance_from_maps(part, maps, args.constraint, prov,
-                              n_gam=n_gam, n_c=args.nc,
+    inst = instance_from_maps(part, maps, prov, n_gam=n_gam, n_c=args.nc,
                               wfpc_seed=args.wfpc_seed)
     if args.hr == "none":
         return inst

@@ -35,7 +35,7 @@ from .burgers import FomOperators, ParameterPoint, assemble, \
 from .errors import ConvergenceError
 from .hyper import extract_subnet, greedy_sample, hr_collocation, hr_gappy, \
     hr_none, hr_rows_for_subdomain
-from .partition import ConstraintMatrix, Partition, RestrictedResidual, \
+from .partition import Partition, RestrictedResidual, \
     assemble_fom_constraints, assemble_rom_constraints
 from .pod import LinearMap, pod, port_interface_basis
 from .sqp import SqpBlock, SqpConfig, SqpEval, SqpProblem, SqpResult, \
@@ -93,17 +93,22 @@ class RbfInitializer:
 
 @dataclass(eq=False)
 class RomInstance:
-    """Everything needed to evaluate one decomposed ROM configuration."""
+    """Everything needed to evaluate one decomposed ROM configuration.
+
+    ``coupling`` holds one block per subdomain of the coupling constraint
+    ``sum_i coupling[i] y_i = 0``.  Under ``wfpc`` ``y_i`` is the decoded
+    interface trace and the block is ``C A_i`` (dense), or ``A_i`` (CSR)
+    for the decomposed FOM; under ``srpc`` ``y_i`` is the interface latent
+    and the block is the ROM port constraint block (CSR).  ``hr`` defaults
+    to no HR, every residual row, on each subdomain.
+    """
 
     partition: Partition
     interior_maps: list = field(repr=False)
     interface_maps: list = field(repr=False)
-    constraint_mode: str = "wfpc"
-    fom_constraints: ConstraintMatrix = field(repr=False, default=None)
-    wfpc_C: np.ndarray | None = field(repr=False, default=None)
-    rom_constraints: ConstraintMatrix | None = field(repr=False,
-                                                     default=None)
-    hr: list | None = field(repr=False, default=None)
+    constraint_mode: str
+    coupling: list = field(repr=False)
+    hr: list = field(repr=False, default=None)
     initializer: RbfInitializer | None = field(repr=False, default=None)
     provenance: dict = field(default_factory=dict)
     # per-subdomain evaluation structure, built by the first build_problem;
@@ -111,41 +116,33 @@ class RomInstance:
     _structure: list | None = field(repr=False, default=None, init=False)
 
     def __post_init__(self):
-        part = self.partition
-        n = len(part.subdomains)
+        subs = self.partition.subdomains
+        n = len(subs)
         if len(self.interior_maps) != n or len(self.interface_maps) != n:
             raise ValueError("one interior and one interface map per "
                              "subdomain required")
-        for i, sub in enumerate(part.subdomains):
+        for i, sub in enumerate(subs):
             if self.interior_maps[i].ambient_dim != sub.n_interior:
                 raise ValueError(f"interior map {i} has wrong ambient dim")
             if self.interface_maps[i].ambient_dim != sub.n_interface:
                 raise ValueError(f"interface map {i} has wrong ambient dim")
         if self.constraint_mode not in ("wfpc", "srpc"):
             raise ValueError("constraint mode must be 'wfpc' or 'srpc'")
-        if self.constraint_mode == "wfpc":
-            if self.wfpc_C is None:
-                raise ValueError("wfpc mode needs a test matrix C")
-            if self.fom_constraints is None:
-                self.fom_constraints = assemble_fom_constraints(part.ports)
-            if self.wfpc_C.shape[1] != self.fom_constraints.n_rows:
-                raise ValueError("wfpc test matrix C needs one column per "
-                                 "FOM port constraint")
-            return
-        if self.rom_constraints is None:
-            raise ValueError("srpc mode needs assembled ROM constraints")
-        for i, (block, g) in enumerate(zip(self.rom_constraints.blocks,
+        if len(self.coupling) != n:
+            raise ValueError("one coupling block per subdomain required")
+        for i, (block, g) in enumerate(zip(self.coupling,
                                            self.interface_maps)):
-            if block.shape[1] != g.latent_dim:
-                raise ValueError(f"subdomain {i}: ROM constraint block width "
-                                 f"{block.shape[1]} != interface latent dim "
-                                 f"{g.latent_dim}")
+            width = (g.ambient_dim if self.constraint_mode == "wfpc"
+                     else g.latent_dim)
+            if block.shape != (self.n_mult, width):
+                raise ValueError(f"subdomain {i}: coupling block shape "
+                                 f"{block.shape} != ({self.n_mult}, {width})")
+        if self.hr is None:
+            self.hr = [hr_none(sub.n_res) for sub in subs]
 
     @property
     def n_mult(self) -> int:
-        if self.constraint_mode == "wfpc":
-            return self.wfpc_C.shape[0]
-        return self.rom_constraints.n_rows
+        return self.coupling[0].shape[0]
 
     @property
     def latent_layout(self):
@@ -172,15 +169,14 @@ class RomInstance:
 
 def build_dd_fom(partition: Partition) -> RomInstance:
     """Identity maps, B = I, C = I: the decomposed FOM as a ROM instance."""
-    A = assemble_fom_constraints(partition.ports)
     return RomInstance(
         partition=partition,
         interior_maps=[LinearMap(sp.identity(s.n_interior, format="csr"))
                        for s in partition.subdomains],
         interface_maps=[LinearMap(sp.identity(s.n_interface, format="csr"))
                         for s in partition.subdomains],
-        constraint_mode="wfpc", fom_constraints=A,
-        wfpc_C=np.eye(A.n_rows),
+        constraint_mode="wfpc",
+        coupling=assemble_fom_constraints(partition.ports).blocks,
         provenance={"rom": "dd-fom", "constraint": "wfpc", "hr": "none"})
 
 
@@ -210,28 +206,29 @@ def pod_maps(partition: Partition, snap, n_int: int, n_gam: int,
     return maps
 
 
-def instance_from_maps(partition: Partition, maps: dict, constraint: str,
-                       provenance: dict, *, n_gam: int,
-                       n_c: int | None = None,
+def instance_from_maps(partition: Partition, maps: dict, provenance: dict,
+                       *, n_gam: int, n_c: int | None = None,
                        wfpc_seed: int = 0) -> RomInstance:
     """Couple a map set (``pod_maps``/``train_nets`` layout) into a ROM
-    instance.
+    instance; its layout picks the coupling mode.
 
-    ``wfpc`` ties the decoded interface traces through the FOM port
-    constraints compressed by a seeded C with ``n_c`` rows (default from
-    the requested ``n_gam``); any other mode is ``srpc``: each interface
-    map is assembled from the port maps, and the ROM port constraints act
-    on port latent blocks of the port maps' latent dims.
+    An ``"interface"`` set is coupled by ``wfpc``: the decoded interface
+    traces are tied through the FOM port constraints compressed by a
+    seeded C with ``n_c`` rows (default from the requested ``n_gam``).  A
+    ``"port"`` set is coupled by ``srpc``: each interface map is assembled
+    from the port maps, and the ROM port constraints act on port latent
+    blocks of the port maps' latent dims.
     """
     interior = maps["interior"]
-    if constraint == "wfpc":
+    if "interface" in maps:
         A = assemble_fom_constraints(partition.ports)
         if n_c is None:
             n_c = default_n_c(partition, n_gam, A.n_rows)
+        C = wfpc_test_matrix(n_c, A.n_rows, wfpc_seed)
         return RomInstance(partition=partition, interior_maps=interior,
                            interface_maps=maps["interface"],
-                           constraint_mode="wfpc", fom_constraints=A,
-                           wfpc_C=wfpc_test_matrix(n_c, A.n_rows, wfpc_seed),
+                           constraint_mode="wfpc",
+                           coupling=[C @ A_i.toarray() for A_i in A.blocks],
                            provenance=provenance)
     ports, pt = maps["port"], partition.ports
     linear = all(isinstance(m, LinearMap) for m in ports.values())
@@ -241,7 +238,7 @@ def instance_from_maps(partition: Partition, maps: dict, constraint: str,
     dims = {j: m.latent_dim for j, m in ports.items()}
     return RomInstance(partition=partition, interior_maps=interior,
                        interface_maps=gams, constraint_mode="srpc",
-                       rom_constraints=assemble_rom_constraints(pt, dims),
+                       coupling=assemble_rom_constraints(pt, dims).blocks,
                        provenance=provenance)
 
 
@@ -254,7 +251,7 @@ def build_lsrom(partition: Partition, snap, n_int: int, n_gam: int,
             "n_int": n_int, "n_gam": n_gam}
     return instance_from_maps(
         partition, pod_maps(partition, snap, n_int, n_gam, constraint),
-        constraint, prov, n_gam=n_gam, n_c=n_c, wfpc_seed=wfpc_seed)
+        prov, n_gam=n_gam, n_c=n_c, wfpc_seed=wfpc_seed)
 
 
 def train_nets(partition: Partition, snap, n_int: int, n_gam: int,
@@ -302,8 +299,8 @@ def build_nmrom(partition: Partition, snap, n_int: int, n_gam: int,
                       port_shift=port_shift, train_cfg=train_cfg)
     prov = {"rom": "nmrom", "constraint": constraint, "hr": "none",
             "n_int": n_int, "n_gam": n_gam, "seed": train_cfg.seed}
-    return instance_from_maps(partition, nets, constraint, prov,
-                              n_gam=n_gam, n_c=n_c, wfpc_seed=wfpc_seed)
+    return instance_from_maps(partition, nets, prov, n_gam=n_gam, n_c=n_c,
+                              wfpc_seed=wfpc_seed)
 
 
 def hr_sample(residual_snapshots: np.ndarray, n_res: int, n_samples: int,
@@ -397,14 +394,14 @@ def _block_structure(instance: RomInstance, i: int, ops: FomOperators):
 
     ``gam`` is the interface outputs the residual reads off the full
     decode (WFPC) or the interface map restricted to them (SRPC);
-    ``coupling`` is ``C A_i`` (WFPC) or the dense ROM constraint block.
+    ``coupling`` is the instance's coupling block, dense.
     When both maps are linear, ``M = blockdiag(J_int, J_gam)`` is constant
     and ``terms`` is ``restricted.product_terms(M)``, computed once here;
     it is ``None`` when a map is nonlinear and ``M`` changes per call.
     """
     part = instance.partition
     sub = part.subdomains[i]
-    hr = instance.hr[i] if instance.hr is not None else hr_none(sub.n_res)
+    hr = instance.hr[i]
     io, gio = hr_rows_for_subdomain(part, i, hr.rows)
     restricted = RestrictedResidual(
         ops, sub.res_rows[hr.rows],
@@ -416,12 +413,12 @@ def _block_structure(instance: RomInstance, i: int, ops: FomOperators):
         gam = gio
         J_gam = _linear_jacobian(instance.interface_maps[i])
         J_gam = J_gam[gio] if J_gam is not None else None
-        coupling = (instance.wfpc_C
-                    @ instance.fom_constraints.blocks[i].toarray())
     else:
         gam = _restrict_map(instance.interface_maps[i], gio)
         J_gam = _linear_jacobian(gam)
-        coupling = instance.rom_constraints.blocks[i].toarray()
+    coupling = instance.coupling[i]
+    if sp.issparse(coupling):
+        coupling = coupling.toarray()
     J_int = _linear_jacobian(sub_int)
     terms = None
     if J_int is not None and J_gam is not None:
@@ -710,8 +707,6 @@ def verify_bounds(instance: RomInstance, p: ParameterPoint,
         solution, _ = solve_rom(instance, p, cfg, fom_state=fom_state)
     ops = assemble(part.grid, p)
     subs = part.subdomains
-    hrs = (instance.hr if instance.hr is not None
-           else [hr_none(sub.n_res) for sub in subs])
     rrs = [RestrictedResidual(ops, sub.res_rows, np.concatenate(
         [sub.interior_cols, sub.interface_cols])) for sub in subs]
     ends = np.cumsum([sub.n_interior + sub.n_interface for sub in subs])
@@ -719,7 +714,7 @@ def verify_bounds(instance: RomInstance, p: ParameterPoint,
     def weighted_residual(w):
         return np.concatenate([
             hr.apply_B(rr.residual(wi))
-            for hr, rr, wi in zip(hrs, rrs, np.split(w, ends[:-1]))])
+            for hr, rr, wi in zip(instance.hr, rrs, np.split(w, ends[:-1]))])
 
     def raw_residual(w):
         return np.concatenate([

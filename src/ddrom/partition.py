@@ -237,7 +237,6 @@ class ConstraintMatrix:
 
     matrix: sp.csr_matrix
     blocks: list                      # per-subdomain column slices A_i
-    port_dims: dict | None = None     # latent dims per port (ROM variant)
 
     @property
     def n_rows(self) -> int:
@@ -311,7 +310,7 @@ def assemble_rom_constraints(pt: PortTable, latent_port_dims) -> ConstraintMatri
         raise KeyError((port.index, i))
 
     mat, blocks = _chain_rows(pt, nsub, sizes, position_of)
-    return ConstraintMatrix(matrix=mat, blocks=blocks, port_dims=dims)
+    return ConstraintMatrix(matrix=mat, blocks=blocks)
 
 
 class RestrictedResidual:

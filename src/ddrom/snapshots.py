@@ -97,8 +97,8 @@ class SnapshotSet:
                         f"port {p.index} disagrees with subdomain {i}")
 
 
-def generate(grid: Grid2D, params, partition: Partition, tol: float = 1e-8,
-             warm_start: bool = True) -> SnapshotSet:
+def generate(grid: Grid2D, params, partition: Partition,
+             tol: float = 1e-8) -> SnapshotSet:
     """Solve the FOM across ``params`` and restrict the results.
 
     Consecutive solves warm-start from the previous converged state (the
@@ -119,8 +119,7 @@ def generate(grid: Grid2D, params, partition: Partition, tol: float = 1e-8,
             warnings.warn(f"FOM solve failed at ({p.a}, {p.lam}): {exc}")
             failures.append((p, str(exc)))
             continue
-        if warm_start:
-            prev = x
+        prev = x
         cols.append(x)
         kept_params.append(p)
         newton_iters.append(trace.niter)

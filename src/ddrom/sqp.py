@@ -7,15 +7,14 @@ Solves
 where each block ``i`` owns an (interior, interface) latent pair and only
 the interface part enters the coupling constraint.  Every iteration solves
 one block-arrow KKT system with Gauss-Newton Hessian blocks and takes a
-damped step chosen by Armijo backtracking.  A trial step is accepted when
-it gives sufficient decrease of the first-order optimality norm
-||(grad L, c)||, or, failing that, of the l1 merit ``f + mu ||c||_1``
-(``f`` the objective, ``mu`` twice the largest new multiplier), on which
-a Gauss-Newton SQP step always descends (Nocedal & Wright, ch. 18).  The
-solve has converged when the optimality norm drops below ``tol``, or when
-an accepted iteration's full Gauss-Newton step is at most ``tol`` times
-the new iterate's norm; the second test ends nonzero-residual problems
-whose optimality norm has a roundoff floor above ``tol``.  The same loop
+damped step chosen by Armijo backtracking on the l1 merit
+``f + mu ||c||_1`` (``f`` the objective, ``mu`` twice the largest new
+multiplier), on which a Gauss-Newton SQP step always descends (Nocedal &
+Wright, ch. 18).  The solve has converged when the first-order
+optimality norm ||(grad L, c)|| drops below ``tol``, or when an
+accepted iteration's full Gauss-Newton step is at most ``tol`` times the
+new iterate's norm; the second test ends nonzero-residual problems whose
+optimality norm has a roundoff floor above ``tol``.  The same loop
 serves the decomposed FOM (identity decoders) and all ROM variants;
 blocks are callables, so the solver knows nothing about Burgers or
 autoencoders.  A block Jacobian may be dense or sparse: with any sparse
@@ -28,6 +27,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 import scipy.linalg
@@ -86,11 +86,11 @@ class SqpProblem:
 class SqpConfig:
     tol: float = 1e-4
     max_iter: int = 15
-    backtrack_factor: float = 0.5
+    # line-search step reduction: a class constant, not a setting
+    backtrack_factor: ClassVar[float] = 0.5
 
     def __post_init__(self):
-        if (self.tol <= 0 or self.max_iter < 1
-                or not 0 < self.backtrack_factor < 1):
+        if self.tol <= 0 or self.max_iter < 1:
             raise ValueError("invalid solver configuration")
 
 
@@ -106,6 +106,7 @@ class _BlockEval:
 class SqpEval:
     """Gradients and cached block data at one (x, lam) point."""
 
+    grad_f: np.ndarray              # stacked objective gradient R' Br
     rho: np.ndarray                 # stacked Lagrangian gradient, n_primal
     con: np.ndarray                 # constraint value, n_mult
     blocks: list = field(repr=False, default_factory=list)
@@ -153,12 +154,13 @@ def _gradients(prob: SqpProblem, blocks, con, lam) -> SqpEval:
     """The :class:`SqpEval` of evaluated ``blocks`` (summed constraint
     ``con``) with the Lagrangian gradient formed at the multipliers
     ``lam``; no block is evaluated."""
-    rho = np.zeros(prob.n_primal)
+    grad_f, rho = np.zeros(prob.n_primal), np.zeros(prob.n_primal)
     for off, block, be in zip(prob.offsets, prob.blocks, blocks):
         grad = be.R.T @ be.Br
+        grad_f[off:off + grad.size] = grad
         grad[block.n_int:] += be.con_jac.T @ lam
-        rho[off:off + block.n_int + block.n_gam] = grad
-    return SqpEval(rho=rho, con=con, blocks=blocks,
+        rho[off:off + grad.size] = grad
+    return SqpEval(grad_f=grad_f, rho=rho, con=con, blocks=blocks,
                    block_max_seconds=max(b.seconds for b in blocks),
                    block_sum_seconds=sum(b.seconds for b in blocks))
 
@@ -289,22 +291,17 @@ class SqpResult:
         return self.constraint_history[-1]
 
 
-def _l1_armijo(prob: SqpProblem, ev: SqpEval, lam, s, s_lam):
+def _l1_armijo(ev: SqpEval, lam, s, s_lam):
     """Armijo test on the l1 merit ``phi = f + mu ||c||_1`` along ``s``.
 
     ``mu = 2 ||lam + s_lam||_inf`` and the directional derivative is
-    ``grad f' s - mu ||c||_1``, with ``grad f`` the Lagrangian gradient
-    ``ev.rho`` less ``C' lam`` on the interface slices.  Returns
-    ``accepts(trial, alpha)``; it never accepts along a nondescent ``s``.
+    ``grad f' s - mu ||c||_1``.  Returns ``accepts(trial, alpha)``; it
+    never accepts along a nondescent ``s``.
     """
     mu = 2.0 * np.max(np.abs(lam + s_lam), initial=0.0)
-    grad_f = ev.rho.copy()
-    for off, block, be in zip(prob.offsets, prob.blocks, ev.blocks):
-        gs = off + block.n_int
-        grad_f[gs:gs + block.n_gam] -= be.con_jac.T @ lam
     viol = float(np.abs(ev.con).sum())
     phi = ev.objective + mu * viol
-    slope = float(grad_f @ s) - mu * viol
+    slope = float(ev.grad_f @ s) - mu * viol
 
     def accepts(trial, alpha):
         return slope < 0 and (trial.objective + mu * np.abs(trial.con).sum()
@@ -323,10 +320,10 @@ def iterate(prob: SqpProblem, x0, lam0=None,
     optimality norm ||(grad L, c)|| drops below ``cfg.tol``, and on
     ``"step"`` when, after an accepted iteration, its full Gauss-Newton
     step ``s`` (not the damped ``alpha * s``, so backtracking cannot fake
-    convergence) satisfies ``||s|| <= cfg.tol * ||x_new||``.  Each trial
-    step is first tested for Armijo decrease of the optimality norm; only
-    if that rejects it is it tested on the l1 merit (:func:`_l1_armijo`),
-    so every step the first test accepts is taken as before.
+    convergence) satisfies ``||s|| <= cfg.tol * ||x_new||``.  A trial
+    step is accepted on Armijo decrease of the l1 merit
+    (:func:`_l1_armijo`); each rejection scales it by
+    ``SqpConfig.backtrack_factor``.
 
     ``start`` is an evaluation at ``x0`` (at any multipliers) that the
     caller already made, such as the multiplier least-squares sweep; its
@@ -366,18 +363,13 @@ def iterate(prob: SqpProblem, x0, lam0=None,
         s, s_lam = assemble_and_solve_kkt(prob, ev)
         t_kkt = time.perf_counter() - t0
 
+        accepts = _l1_armijo(ev, lam, s, s_lam)
         alpha = 1.0
         accepted = None
-        l1_accepts = None
         for _ in range(MAX_HALVINGS + 1):
             trial = eval_gradients(prob, x + alpha * s, lam + alpha * s_lam)
             t_par += trial.block_max_seconds
-            if trial.merit <= (1.0 - ARMIJO_C1 * alpha) * merits[-1]:
-                accepted = trial
-                break
-            if l1_accepts is None:
-                l1_accepts = _l1_armijo(prob, ev, lam, s, s_lam)
-            if l1_accepts(trial, alpha):
+            if accepts(trial, alpha):
                 accepted = trial
                 break
             alpha *= cfg.backtrack_factor

@@ -94,7 +94,7 @@ def test_default_n_c_twice_srpc_rows_capped_at_fom_rows(desk):
         assert default_n_c(part, n_gam, n_rows) == expected
         inst = build_lsrom(part, snap, n_int=4, n_gam=n_gam,
                            constraint="wfpc")
-        assert inst.wfpc_C.shape == (expected, n_rows)
+        assert inst.n_mult == expected
     assert default_n_c(part, 20, n_rows) == n_rows      # the cap binds
 
 
@@ -117,33 +117,42 @@ def test_instance_validation(desk):
     _, part, snap = desk
     good = build_lsrom(part, snap, n_int=4, n_gam=3, constraint="wfpc",
                        n_c=3)
+
+    def make(**kw):
+        return RomInstance(**{
+            "partition": part, "interior_maps": good.interior_maps,
+            "interface_maps": good.interface_maps, "constraint_mode": "wfpc",
+            "coupling": good.coupling, **kw})
+
     with pytest.raises(ValueError, match="ambient"):
-        RomInstance(partition=part,
-                    interior_maps=[LinearMap(np.eye(5))] * part.n_sub,
-                    interface_maps=good.interface_maps,
-                    constraint_mode="wfpc", wfpc_C=good.wfpc_C)
-    with pytest.raises(ValueError, match="test matrix"):
-        RomInstance(partition=part, interior_maps=good.interior_maps,
-                    interface_maps=good.interface_maps,
-                    constraint_mode="wfpc")
-    with pytest.raises(ValueError, match="ROM constraints"):
-        RomInstance(partition=part, interior_maps=good.interior_maps,
-                    interface_maps=good.interface_maps,
-                    constraint_mode="srpc")
+        make(interior_maps=[LinearMap(np.eye(5))] * part.n_sub)
     with pytest.raises(ValueError, match="mode"):
-        RomInstance(partition=part, interior_maps=good.interior_maps,
-                    interface_maps=good.interface_maps,
-                    constraint_mode="strong", wfpc_C=good.wfpc_C)
-    with pytest.raises(ValueError, match="one column per"):
-        RomInstance(partition=part, interior_maps=good.interior_maps,
-                    interface_maps=good.interface_maps,
-                    constraint_mode="wfpc", wfpc_C=good.wfpc_C[:, 1:])
-    wide = assemble_rom_constraints(
-        part.ports, {p.index: 4 for p in part.ports.ports})
+        make(constraint_mode="strong")
+    with pytest.raises(ValueError, match="one coupling block per"):
+        make(coupling=good.coupling[:1])
+    with pytest.raises(ValueError, match="subdomain 1"):
+        make(coupling=[good.coupling[0], good.coupling[1][:, 1:]])
+    # WFPC blocks act on decoded traces, SRPC blocks on latents
     with pytest.raises(ValueError, match="subdomain 0"):
-        RomInstance(partition=part, interior_maps=good.interior_maps,
-                    interface_maps=good.interface_maps,
-                    constraint_mode="srpc", rom_constraints=wide)
+        make(constraint_mode="srpc")
+    assert [op.mode for op in make().hr] == ["none"] * part.n_sub
+
+
+def test_coupling_blocks_bitwise_equal_their_sources(desk, ls_wfpc,
+                                                     ls_srpc):
+    _, part, _ = desk
+    A = assemble_fom_constraints(part.ports)
+    C = wfpc_test_matrix(6, A.n_rows, seed=0)
+    for block, A_i in zip(ls_wfpc.coupling, A.blocks):
+        np.testing.assert_array_equal(block, C @ A_i.toarray())
+    for block, A_i in zip(build_dd_fom(part).coupling, A.blocks):
+        assert sp.issparse(block)
+        np.testing.assert_array_equal(block.toarray(), A_i.toarray())
+    Ahat = assemble_rom_constraints(part.ports,
+                                    port_latent_dims(part.ports, 6))
+    for block, Ahat_i in zip(ls_srpc.coupling, Ahat.blocks):
+        assert sp.issparse(block)
+        np.testing.assert_array_equal(block.toarray(), Ahat_i.toarray())
 
 
 def test_srpc_constraints_sized_by_rank_deficient_port_maps():
@@ -155,7 +164,7 @@ def test_srpc_constraints_sized_by_rank_deficient_port_maps():
     params = sample_grid(2, 2, a_range=(100, 100), lam_range=(10, 10))
     snap = generate(grid, params, part)
     inst = build_lsrom(part, snap, n_int=4, n_gam=3, constraint="srpc")
-    for block, g in zip(inst.rom_constraints.blocks, inst.interface_maps):
+    for block, g in zip(inst.coupling, inst.interface_maps):
         assert block.shape[1] == g.latent_dim
     prob = build_problem(inst, assemble(grid, params[0]))
     ev = eval_gradients(prob, np.zeros(prob.n_primal),
@@ -273,19 +282,18 @@ def test_lsrom_srpc_solves_and_matches_wfpc_scale(desk, ls_wfpc, ls_srpc):
 def test_srpc_decoded_compatibility_lsrom(desk, ls_srpc):
     _, part, snap = desk
     A = assemble_fom_constraints(part.ports)
-    Ahat = ls_srpc.rom_constraints
+    dims = port_latent_dims(part.ports, 6)
     rng = np.random.default_rng(4)
     # draw one latent block per port and give every member the same copy:
     # the ROM constraint vanishes exactly
     for _ in range(5):
-        shared = {j: rng.normal(size=d)
-                  for j, d in Ahat.port_dims.items()}
+        shared = {j: rng.normal(size=d) for j, d in dims.items()}
         resid = np.zeros(A.n_rows)
-        rom_resid = np.zeros(Ahat.n_rows)
+        rom_resid = np.zeros(ls_srpc.n_mult)
         for i in range(part.n_sub):
             xg = np.concatenate(
                 [shared[j] for j in part.ports.ports_of(i)])
-            rom_resid += Ahat.blocks[i] @ xg
+            rom_resid += ls_srpc.coupling[i] @ xg
             resid += A.blocks[i] @ ls_srpc.interface_maps[i].decode(xg)
         assert np.abs(rom_resid).max() < 1e-12
         assert np.abs(resid).max() < 1e-10
@@ -296,11 +304,10 @@ def test_srpc_decoded_compatibility_nmrom(desk):
     nm = build_nmrom(part, snap, n_int=4, n_gam=3, constraint="srpc",
                      train_cfg=TrainConfig(epochs=2, seed=9))
     A = assemble_fom_constraints(part.ports)
-    Ahat = nm.rom_constraints
+    dims = port_latent_dims(part.ports, 3)
     rng = np.random.default_rng(5)
     for _ in range(5):
-        shared = {j: rng.normal(size=d)
-                  for j, d in Ahat.port_dims.items()}
+        shared = {j: rng.normal(size=d) for j, d in dims.items()}
         resid = np.zeros(A.n_rows)
         for i in range(part.n_sub):
             xg = np.concatenate(
@@ -858,5 +865,8 @@ def test_benchmark_sweep_leaves_unconverged_runs_out(desk, ls_wfpc,
 
 
 def test_srpc_instances_carry_no_fom_constraints(ls_wfpc, ls_srpc):
-    assert ls_srpc.fom_constraints is None
-    assert ls_wfpc.fom_constraints.n_rows == ls_wfpc.wfpc_C.shape[1]
+    # WFPC blocks act on the decoded interface trace, SRPC blocks on the
+    # interface latent
+    for inst, width in ((ls_wfpc, "ambient_dim"), (ls_srpc, "latent_dim")):
+        for block, g in zip(inst.coupling, inst.interface_maps):
+            assert block.shape == (inst.n_mult, getattr(g, width))

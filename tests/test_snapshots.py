@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddrom import binio
-from ddrom.burgers import Grid2D, ParameterPoint
+from ddrom.burgers import Grid2D, ParameterPoint, solve_monolithic
 from ddrom.errors import FormatError
 from ddrom.partition import build_partition
 from ddrom.snapshots import (
@@ -152,7 +152,6 @@ def test_generate_single_parameter_restriction():
     part = build_partition(grid, 2, 1)
     p = ParameterPoint(2000.0, 12.0)
     snap = generate(grid, [p], part, tol=1e-10)
-    from ddrom.burgers import solve_monolithic
     x, _ = solve_monolithic(grid, p, tol=1e-10)
     np.testing.assert_array_equal(snap.states[:, 0], x)
     for sub in part.subdomains:
@@ -165,10 +164,11 @@ def test_generate_warm_vs_cold_agreement():
     part = build_partition(grid, 2, 1)
     params = sample_grid(3, 3, a_range=(10.0, 1000.0), lam_range=(5.0, 15.0))
     tol = 1e-10
-    warm = generate(grid, params, part, tol=tol, warm_start=True)
-    cold = generate(grid, params, part, tol=tol, warm_start=False)
-    diff = np.abs(warm.states - cold.states).max()
-    assert diff <= 10 * tol * max(1.0, np.abs(cold.states).max())
+    warm = generate(grid, params, part, tol=tol)
+    cold = np.column_stack([solve_monolithic(grid, p, tol=tol)[0]
+                            for p in params])
+    diff = np.abs(warm.states - cold).max()
+    assert diff <= 10 * tol * max(1.0, np.abs(cold).max())
 
 
 def test_save_load_round_trip(tmp_path, small_sweep):

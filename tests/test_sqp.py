@@ -356,6 +356,18 @@ def test_armijo_guarantee_on_accepted_steps():
         assert 0 < alpha <= 1
         assert res.merit_history[k + 1] <= (
             1 - ARMIJO_C1 * alpha) * res.merit_history[k] + 1e-15
+    # the line search's own test: Armijo decrease of f + mu ||c||_1
+    for k, alpha in enumerate(res.alpha_history):
+        (x, lam), (x_new, lam_new) = res.iterates[k], res.iterates[k + 1]
+        s, s_lam = res.steps[k]
+        ev, new = (eval_gradients(prob, x, lam),
+                   eval_gradients(prob, x_new, lam_new))
+        mu = 2.0 * np.abs(lam + s_lam).max()
+        viol = np.abs(ev.con).sum()
+        slope = ev.grad_f @ s - mu * viol
+        assert slope < 0
+        assert new.objective + mu * np.abs(new.con).sum() <= (
+            ev.objective + mu * viol + ARMIJO_C1 * alpha * slope)
 
 
 def test_linear_constraint_feasibility_preserved():
@@ -496,8 +508,6 @@ def test_iterate_input_validation():
         iterate(prob, np.full(prob.n_primal, np.nan))
     with pytest.raises(ValueError):
         SqpConfig(tol=-1.0)
-    with pytest.raises(ValueError):
-        SqpConfig(backtrack_factor=1.5)
 
 
 # -- diagnostics ---------------------------------------------------------

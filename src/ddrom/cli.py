@@ -296,12 +296,14 @@ def cmd_rom_solve(args, t0):
         binio.write_matrices(out / "decoded.bin", decoded)
         _write_trace_csv(out / "trace.csv",
                          ["iteration", "merit", "objective", "constraint",
-                          "alpha"],
+                          "alpha", "kkt_path", "kkt_residual"],
                          [list(range(len(sol.sqp.merit_history))),
                           sol.sqp.merit_history,
                           sol.sqp.objective_history,
                           sol.sqp.constraint_history,
-                          sol.sqp.alpha_history])
+                          sol.sqp.alpha_history,
+                          sol.sqp.kkt_path_history,
+                          sol.sqp.kkt_residual_history])
         binio.write_meta(out / "meta.txt", _run_meta(args, t0, {
             "converged": rec.converged, "n_iter": rec.n_iter,
             "error": rec.error, "final_merit": rec.final_merit,

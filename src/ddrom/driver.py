@@ -39,7 +39,7 @@ from .partition import Partition, RestrictedResidual, \
     assemble_fom_constraints, assemble_rom_constraints
 from .pod import LinearMap, pod, port_interface_basis
 from .sqp import SqpBlock, SqpConfig, SqpEval, SqpProblem, SqpResult, \
-    eval_gradients, iterate
+    eval_gradients, is_square, iterate
 
 BOUND_REL_SCALE = 0.05  # verify_bounds' latent perturbation, relative
 
@@ -502,9 +502,16 @@ def init_guess(instance: RomInstance, p: ParameterPoint, *,
 def multiplier_least_squares(prob: SqpProblem, x0: np.ndarray,
                              ev: SqpEval | None = None) -> np.ndarray:
     """argmin over multipliers of the interface stationarity residual;
-    ``ev`` is the evaluation at ``(x0, 0)`` if the caller has it."""
+    ``ev`` is the evaluation at ``(x0, 0)`` if the caller has it.
+
+    Zeros on a problem whose SQP steps are Newton steps of the square
+    ``[R; C]`` (:func:`sqp.is_square`, the decomposed FOM): there the
+    starting multipliers affect no step.
+    """
     if ev is None:
         ev = eval_gradients(prob, x0, np.zeros(prob.n_mult))
+    if is_square(prob, ev):
+        return np.zeros(prob.n_mult)
     rows, rhs = [], []
     for off, block, be in zip(prob.offsets, prob.blocks, ev.blocks):
         gs = off + block.n_int

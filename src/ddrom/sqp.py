@@ -20,6 +20,22 @@ blocks are callables, so the solver knows nothing about Burgers or
 autoencoders.  A block Jacobian may be dense or sparse: with any sparse
 one the KKT matrix is assembled sparse and factored by a sparse LU,
 otherwise densely.
+
+When every block Jacobian is sparse and the residual rows plus the
+multipliers number the unknowns (:func:`is_square`; the decomposed FOM,
+whose residual rows number the global unknowns and whose port
+constraints number the duplicated interface unknowns), the stacked
+Jacobian ``[R; C]`` is square.  If it is nonsingular, ``R s = -Br`` and
+``C s = -c`` determine the step, so the Gauss-Newton SQP step is the
+Newton step ``s = -[R; C]^-1 [Br; c]`` and the new multipliers
+``lam + s_lam`` are zero: ``C' (lam + s_lam) = -R' (Br + R s) = 0``,
+and ``C`` has full row rank.  That system is factored as it stands,
+without forming ``R' R``, which would square its condition number.  It
+keeps the normal-form solve's refinement round and 1e-10 gate; an
+exactly singular factor or a failed gate falls back to the normal-form
+KKT solve with its regularization, and the path taken is recorded per
+iteration.  The starting multipliers then affect no step, so the
+driver's multiplier least squares is skipped on such a problem.
 """
 
 from __future__ import annotations
@@ -193,6 +209,34 @@ def _kkt_matrix(prob: SqpProblem, ev: SqpEval):
         shape=(n + m, n + m)).tocsc()
 
 
+def is_square(prob: SqpProblem, ev: SqpEval) -> bool:
+    """Whether the evaluated problem's step is the Newton step of the
+    square sparse system ``[R; C]``: every block Jacobian is sparse, and
+    the residual rows plus the multipliers number the unknowns."""
+    return (all(sp.issparse(be.R) for be in ev.blocks)
+            and sum(be.R.shape[0] for be in ev.blocks) + prob.n_mult
+            == prob.n_primal)
+
+
+def _newton_matrix(prob: SqpProblem, ev: SqpEval):
+    """The square ``[R; C]`` of an :func:`is_square` problem as CSC, from
+    one COO construction over the stacked ``R_i`` (at their row and column
+    offsets) and the nonzeros of ``C``."""
+    n, n_res = prob.n_primal, prob.n_primal - prob.n_mult
+    rows, cols, vals = [], [], []
+    row = 0
+    for off, block, be in zip(prob.offsets, prob.blocks, ev.blocks):
+        R = be.R.tocoo()
+        r, c = np.nonzero(be.con_jac)
+        rows += [R.row + row, r + n_res]
+        cols += [R.col + off, c + off + block.n_int]
+        vals += [R.data, be.con_jac[r, c]]
+        row += R.shape[0]
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n)).tocsc()
+
+
 def _lu(K):
     """``(solve, smallest pivot)`` of an LU factorization of ``K``: SuperLU
     with its default COLAMD ordering for sparse ``K``, LAPACK for dense.
@@ -208,36 +252,57 @@ def _lu(K):
             float(np.abs(np.diag(lu)).min()))
 
 
-def assemble_and_solve_kkt(prob: SqpProblem, ev: SqpEval):
-    """Solve the block-arrow saddle-point system for the SQP step.
+def _refined_solve(mat, rhs):
+    """``(solution, relative back-substitution residual, smallest pivot)``
+    of ``mat x = rhs`` by LU with one round of iterative refinement; the
+    residual is infinite when the solution is not finite."""
+    rhs_norm = max(np.linalg.norm(rhs), 1e-300)
+    solve, pivot = _lu(mat)
+    sol = solve(rhs)
+    if not np.all(np.isfinite(sol)):
+        return sol, np.inf, pivot
+    sol += solve(rhs - mat @ sol)
+    if not np.all(np.isfinite(sol)):
+        return sol, np.inf, pivot
+    res = float(np.linalg.norm(rhs - mat @ sol) / rhs_norm)
+    return sol, res, pivot
 
-    LU (sparse when any block Jacobian is sparse, see :func:`_lu`) with one
-    round of iterative refinement; the back-substitution residual must
-    come out below 1e-10 relative, otherwise the Hessian blocks are
-    regularized by +delta*I once and the solve retried.
+
+def assemble_and_solve_kkt(prob: SqpProblem, ev: SqpEval, lam):
+    """Solve for the SQP step ``(s, s_lam)`` at the evaluation ``ev`` made
+    at the multipliers ``lam``; returns ``(s, s_lam, path, residual)``.
+
+    On an :func:`is_square` problem the step is the Newton step of
+    ``[R; C]`` (``path`` ``"newton"``, ``s_lam = -lam``).  Otherwise, or
+    when that factor is exactly singular or misses the gate below, the
+    block-arrow saddle-point system ``[[blockdiag(R_i' R_i), C'], [C, 0]]``
+    is solved (``"kkt"``).  Each solve is an LU (sparse when any block
+    Jacobian is sparse, see :func:`_lu`) with one round of iterative
+    refinement, and its back-substitution residual must come out below
+    1e-10 relative.  If the saddle-point solve misses it, the Hessian
+    blocks are regularized by +delta*I once, with a warning, and the solve
+    retried (``"kkt+reg"``).  ``residual`` is the accepted solve's
+    relative back-substitution residual.
     """
     n = prob.n_primal
+    if is_square(prob, ev):
+        rhs = -np.concatenate([be.Br for be in ev.blocks] + [ev.con])
+        try:
+            s, res, _ = _refined_solve(_newton_matrix(prob, ev), rhs)
+        except scipy.linalg.LinAlgError:
+            res = np.inf
+        if res <= 1e-10:
+            return s, -lam, "newton", res
     K = _kkt_matrix(prob, ev)
     rhs = -ev.optimality
-    rhs_norm = max(np.linalg.norm(rhs), 1e-300)
-
-    def attempt(mat):
-        solve, pivot = _lu(mat)
-        sol = solve(rhs)
-        if not np.all(np.isfinite(sol)):
-            return sol, np.inf, pivot
-        sol += solve(rhs - mat @ sol)
-        if not np.all(np.isfinite(sol)):
-            return sol, np.inf, pivot
-        res = np.linalg.norm(rhs - mat @ sol) / rhs_norm
-        return sol, res, pivot
-
+    path = "kkt"
     try:
-        sol, res, pivot = attempt(K)
+        sol, res, pivot = _refined_solve(K, rhs)
         ok = res <= 1e-10
     except scipy.linalg.LinAlgError:
         sol, res, pivot, ok = None, np.inf, 0.0, False
     if not ok:
+        path = "kkt+reg"
         delta = REG_SCALE * max(K.diagonal()[:n].sum(), 1.0)
         warnings.warn(
             f"KKT solve needed +{delta:.3e} regularization "
@@ -248,7 +313,7 @@ def assemble_and_solve_kkt(prob: SqpProblem, ev: SqpEval):
         else:
             K[np.arange(n), np.arange(n)] += delta
         try:
-            sol, res, pivot = attempt(K)
+            sol, res, pivot = _refined_solve(K, rhs)
         except scipy.linalg.LinAlgError as exc:
             raise ConvergenceError(
                 f"KKT matrix is singular (smallest pivot {pivot:.3e})"
@@ -257,7 +322,7 @@ def assemble_and_solve_kkt(prob: SqpProblem, ev: SqpEval):
             raise ConvergenceError(
                 f"KKT back-substitution residual {res:.3e} exceeds 1e-10 "
                 f"after regularization (smallest pivot {pivot:.3e})")
-    return sol[:n], sol[n:]
+    return sol[:n], sol[n:], path, res
 
 
 @dataclass(eq=False)
@@ -270,6 +335,10 @@ class SqpResult:
     objective_history: list
     constraint_history: list      # ||c|| per iterate
     alpha_history: list
+    # per KKT solve: "newton", "kkt" or "kkt+reg" (see
+    # assemble_and_solve_kkt), and its back-substitution residual
+    kkt_path_history: list = field(default_factory=list)
+    kkt_residual_history: list = field(default_factory=list)
     iterates: list = field(default_factory=list, repr=False)
     steps: list = field(default_factory=list, repr=False)
     timings: dict = field(default_factory=dict, repr=False)
@@ -350,6 +419,7 @@ def iterate(prob: SqpProblem, x0, lam0=None,
     iterates = [(x.copy(), lam.copy())]
     steps = []
     timings = {"block_max": [], "kkt": []}
+    kkt_paths, kkt_residuals = [], []
     best = (ev.merit, x.copy(), lam.copy())
     stop = "merit" if ev.merit < cfg.tol else None
 
@@ -360,8 +430,10 @@ def iterate(prob: SqpProblem, x0, lam0=None,
             break
         t_par = ev.block_max_seconds
         t0 = time.perf_counter()
-        s, s_lam = assemble_and_solve_kkt(prob, ev)
+        s, s_lam, path, kkt_res = assemble_and_solve_kkt(prob, ev, lam)
         t_kkt = time.perf_counter() - t0
+        kkt_paths.append(path)
+        kkt_residuals.append(kkt_res)
 
         accepts = _l1_armijo(ev, lam, s, s_lam)
         alpha = 1.0
@@ -401,7 +473,19 @@ def iterate(prob: SqpProblem, x0, lam0=None,
     return SqpResult(x=x, lam=lam, stop_reason=stop, n_iter=n_iter,
                      merit_history=merits, objective_history=objectives,
                      constraint_history=constraints, alpha_history=alphas,
+                     kkt_path_history=kkt_paths,
+                     kkt_residual_history=kkt_residuals,
                      iterates=iterates, steps=steps, timings=timings)
+
+
+def _gn_hessian_product(prob: SqpProblem, ev: SqpEval, s) -> np.ndarray:
+    """The Gauss-Newton Hessian product ``blockdiag(R_i' R_i) s``, formed
+    blockwise as ``R_i' (R_i s_i)``."""
+    out = np.empty(prob.n_primal)
+    for off, be in zip(prob.offsets, ev.blocks):
+        w = be.R.shape[1]
+        out[off:off + w] = be.R.T @ (be.R @ s[off:off + w])
+    return out
 
 
 def convergence_diagnostics(prob: SqpProblem, result: SqpResult) -> dict:
@@ -424,7 +508,7 @@ def convergence_diagnostics(prob: SqpProblem, result: SqpResult) -> dict:
         plus = eval_gradients(prob, xk + h * s, lamk)
         minus = eval_gradients(prob, xk - h * s, lamk)
         Hs_true = (plus.rho - minus.rho) / (2.0 * h)
-        Hs_gn = _kkt_matrix(prob, ev)[:prob.n_primal, :prob.n_primal] @ s
+        Hs_gn = _gn_hessian_product(prob, ev, s)
         denom = max(ev.merit, 1e-300)
         etas.append(float(np.linalg.norm(Hs_true - Hs_gn)) / denom)
     return {"merit": list(merits),

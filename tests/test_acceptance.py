@@ -254,7 +254,8 @@ def test_sqp_converges_in_one_iteration_on_linear_instances():
         # re-solve the KKT system at the starting point and measure the
         # back-substitution residual directly
         ev = eval_gradients(prob, x0, np.zeros(prob.n_mult))
-        s, s_lam = assemble_and_solve_kkt(prob, ev)
+        s, s_lam, *_ = assemble_and_solve_kkt(prob, ev,
+                                              np.zeros(prob.n_mult))
         K = _kkt_matrix(prob, ev)
         rhs = -np.concatenate([ev.rho, ev.con])
         sol = np.concatenate([s, s_lam])

@@ -147,8 +147,13 @@ def test_rom_solve_lsrom_artifacts(pipeline, tmp_path):
     with open(out / "trace.csv") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["iteration", "merit", "objective", "constraint",
-                       "alpha"]
+                       "alpha", "kkt_path", "kkt_residual"]
     assert all(float(r[3]) >= 0.0 for r in rows[1:])
+    # every accepted step of a ROM (dense Jacobians) is a normal-form KKT
+    # solve within the back-substitution gate
+    steps = [r for r in rows[1:] if r[4]]
+    assert steps and all(r[5] == "kkt" for r in steps)
+    assert all(0.0 <= float(r[6]) <= 1e-10 for r in steps)
     meta = binio.read_meta(out / "meta.txt")
     assert meta["converged"] == "True"
     assert meta["stop"] in ("merit", "step")

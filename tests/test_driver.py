@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
 from ddrom.autoencoder import TrainConfig
 from ddrom.burgers import Grid2D, ParameterPoint, assemble, exact_state, \
@@ -39,7 +40,9 @@ from ddrom.partition import assemble_fom_constraints, \
     assemble_rom_constraints, build_partition
 from ddrom.pod import LinearMap
 from ddrom.snapshots import generate, sample_grid
-from ddrom.sqp import SqpConfig, eval_gradients, iterate
+from ddrom import sqp
+from ddrom.sqp import SqpConfig, _kkt_matrix, assemble_and_solve_kkt, \
+    eval_gradients, is_square, iterate
 
 
 @pytest.fixture(scope="module")
@@ -238,6 +241,109 @@ def test_dd_fom_matches_monolithic_at_120x12(a, lam):
     assert newton.converged and rec.converged
     assert sol.sqp.stop_reason == "step"
     assert rec.error <= 1e-8
+
+
+def dd_fom_problem(nx, ny):
+    """The decomposed FOM on an ``nx x ny`` grid with 2x2 subdomains, its
+    SQP problem at a = 5000, lambda = 15 and the zero start of the
+    ``dd-fom`` workload."""
+    part = build_partition(Grid2D(nx, ny), 2, 2)
+    prob = build_problem(build_dd_fom(part),
+                         assemble(part.grid, ParameterPoint(5000.0, 15.0)))
+    return prob, np.zeros(prob.n_primal)
+
+
+def lstsq_multipliers(prob, ev):
+    """The interface-stationarity least-squares multipliers of ``ev``,
+    evaluated at zero multipliers."""
+    rows, rhs = [], []
+    for off, blk, be in zip(prob.offsets, prob.blocks, ev.blocks):
+        rows.append(be.con_jac.T)
+        rhs.append(-ev.rho[off + blk.n_int:off + blk.n_int + blk.n_gam])
+    lam, *_ = np.linalg.lstsq(np.vstack(rows), np.concatenate(rhs),
+                              rcond=None)
+    return lam
+
+
+@pytest.mark.parametrize("nx,ny", [(60, 8), (120, 12)])
+def test_dd_fom_square_step_matches_dense_and_normal_form(nx, ny):
+    prob, x0 = dd_fom_problem(nx, ny)
+    n, m = prob.n_primal, prob.n_mult
+    lam = np.random.default_rng(nx).standard_normal(m)
+    ev0 = eval_gradients(prob, x0, lam)
+    s0, *_ = assemble_and_solve_kkt(prob, ev0, lam)
+    # at the zero start and at the first Newton iterate
+    for x in (x0, x0 + s0):
+        ev = eval_gradients(prob, x, lam)
+        assert is_square(prob, ev)
+        s, s_lam, path, res = assemble_and_solve_kkt(prob, ev, lam)
+        assert path == "newton" and res <= 1e-10
+        assert np.array_equal(lam + s_lam, np.zeros(m))
+        A = np.zeros((n, n))
+        row = 0
+        for off, blk, be in zip(prob.offsets, prob.blocks, ev.blocks):
+            A[row:row + be.R.shape[0], off:off + be.R.shape[1]] = \
+                be.R.toarray()
+            A[n - m:, off + blk.n_int:off + blk.n_int + blk.n_gam] = \
+                be.con_jac
+            row += be.R.shape[0]
+        assert row == n - m
+        # the dense reference takes the same one refinement round: [R; C]
+        # has a condition number near 4e5 at 120x12, and an unrefined
+        # solve's forward error reaches 1.5e-12 there
+        rhs = -np.concatenate([be.Br for be in ev.blocks] + [ev.con])
+        ref = np.linalg.solve(A, rhs)
+        ref += np.linalg.solve(A, rhs - A @ ref)
+        assert np.linalg.norm(s - ref) <= 1e-12 * np.linalg.norm(ref)
+        K = _kkt_matrix(prob, ev)
+        solve = scipy.sparse.linalg.splu(K).solve
+        normal = solve(-ev.optimality)
+        normal += solve(-ev.optimality - K @ normal)
+        assert np.linalg.norm(s - normal[:n]) <= 1e-10 * np.linalg.norm(
+            normal[:n])
+
+
+def test_dd_fom_multipliers_are_zero_without_least_squares(monkeypatch):
+    prob, x0 = dd_fom_problem(24, 8)
+
+    def lstsq(*args, **kwargs):
+        raise AssertionError("least squares on a square problem")
+
+    monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+    lam = multiplier_least_squares(prob, x0)
+    assert np.array_equal(lam, np.zeros(prob.n_mult))
+
+
+def test_dd_fom_iterates_do_not_depend_on_starting_multipliers():
+    prob, x0 = dd_fom_problem(60, 8)
+    cfg = SqpConfig(tol=1e-6, max_iter=15)
+    lam_ls = lstsq_multipliers(prob,
+                               eval_gradients(prob, x0, np.zeros(prob.n_mult)))
+    assert np.abs(lam_ls).max() > 0
+    zero, ls = iterate(prob, x0, None, cfg), iterate(prob, x0, lam_ls, cfg)
+    assert zero.converged and ls.converged
+    assert zero.kkt_path_history == ["newton"] * zero.n_iter
+    assert all(r <= 1e-10 for r in zero.kkt_residual_history)
+    assert zero.n_iter == ls.n_iter and zero.alpha_history == ls.alpha_history
+    for (x_zero, _), (x_ls, _) in zip(zero.iterates, ls.iterates):
+        np.testing.assert_array_equal(x_zero, x_ls)
+
+
+def test_dd_fom_with_collocation_hr_never_takes_the_square_path(
+        desk, monkeypatch):
+    # sampled rows leave the DD-FOM under-determined: the normal-form
+    # solve, regularized, takes every step
+    grid, part, snap = desk
+    inst = attach_hr(build_dd_fom(part), snap, "collocation", n_samples=30)
+    prob = build_problem(inst, assemble(grid, snap.params[7]))
+    x0 = np.zeros(prob.n_primal)
+    assert not is_square(prob, eval_gradients(prob, x0,
+                                              np.zeros(prob.n_mult)))
+    monkeypatch.setattr(sqp, "_newton_matrix", None)
+    with pytest.warns(RuntimeWarning, match="regularization"):
+        res = iterate(prob, x0, cfg=SqpConfig(tol=1e-6, max_iter=2))
+    assert res.kkt_path_history
+    assert set(res.kkt_path_history) <= {"kkt", "kkt+reg"}
 
 
 # ------------------------------------------------------------------ LS-ROM

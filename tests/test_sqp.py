@@ -162,6 +162,18 @@ def test_inconsistent_constraint_shape_rejected():
 # -- KKT solve -----------------------------------------------------------
 
 
+def count_newton_matrices(monkeypatch):
+    calls = []
+    build = sqp._newton_matrix
+
+    def spy(prob, ev):
+        calls.append(1)
+        return build(prob, ev)
+
+    monkeypatch.setattr(sqp, "_newton_matrix", spy)
+    return calls
+
+
 def test_kkt_matrix_matches_dense_composition():
     prob, _ = random_linear_problem(2)
     R, b, E, d = global_matrices(prob)
@@ -192,7 +204,7 @@ def test_kkt_solve_backsubstitution_residual():
         x = rng.normal(size=prob.n_primal)
         lam = rng.normal(size=prob.n_mult)
         ev = eval_gradients(prob, x, lam)
-        s, s_lam = assemble_and_solve_kkt(prob, ev)
+        s, s_lam, *_ = assemble_and_solve_kkt(prob, ev, lam)
         K = _kkt_matrix(prob, ev)
         rhs = -np.concatenate([ev.rho, ev.con])
         sol = np.concatenate([s, s_lam])
@@ -205,7 +217,7 @@ def test_kkt_solution_matches_constrained_lsq_oracle():
         R, b, E, d = global_matrices(prob)
         x = rng.normal(size=prob.n_primal)
         ev = eval_gradients(prob, x, np.zeros(prob.n_mult))
-        s, _ = assemble_and_solve_kkt(prob, ev)
+        s, *_ = assemble_and_solve_kkt(prob, ev, np.zeros(prob.n_mult))
         x_star = constrained_lsq_oracle(R, b, E, d)
         assert np.allclose(x + s, x_star, atol=1e-8)
 
@@ -219,20 +231,25 @@ def test_singular_kkt_raises_after_regularization_warning():
     ev = eval_gradients(prob, np.zeros(4), np.zeros(2))
     with pytest.warns(RuntimeWarning, match="regularization"):
         with pytest.raises(ConvergenceError):
-            assemble_and_solve_kkt(prob, ev)
+            assemble_and_solve_kkt(prob, ev, np.zeros(2))
 
 
-def test_singular_sparse_kkt_raises_after_regularization_warning():
-    # the same duplicated rows: SuperLU finds the factor exactly singular
-    # before and after the regularization
+def test_singular_sparse_kkt_raises_after_regularization_warning(
+        monkeypatch):
+    # the same duplicated rows on a square problem: SuperLU finds [R; C]
+    # exactly singular, and the normal-form fallback's factor too, before
+    # and after the regularization
     E = np.array([[1.0, 1.0], [1.0, 1.0]])
     blk = sparsified(linear_block(np.eye(2), np.eye(2), np.ones(2), E))
     prob = SqpProblem([blk], 2)
     ev = eval_gradients(prob, np.zeros(4), np.zeros(2))
     assert sp.issparse(_kkt_matrix(prob, ev))
+    assert sqp.is_square(prob, ev)
+    calls = count_newton_matrices(monkeypatch)
     with pytest.warns(RuntimeWarning, match="regularization"):
         with pytest.raises(ConvergenceError, match="KKT matrix is singular"):
-            assemble_and_solve_kkt(prob, ev)
+            assemble_and_solve_kkt(prob, ev, np.zeros(2))
+    assert calls == [1]
 
 
 @pytest.mark.parametrize("make", [lambda b: b, sparsified],
@@ -248,7 +265,7 @@ def test_regularizable_kkt_succeeds_after_one_regularization(make):
     ev = eval_gradients(prob, np.zeros(3), np.zeros(1))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        s, s_lam = assemble_and_solve_kkt(prob, ev)
+        s, s_lam, *_ = assemble_and_solve_kkt(prob, ev, np.zeros(1))
     assert sum(w.category is RuntimeWarning
                and "regularization" in str(w.message) for w in caught) == 1
     np.testing.assert_allclose(s, [1.0, 0.0, 0.5], atol=1e-9)
@@ -294,7 +311,7 @@ def test_sparse_kkt_solve_backsubstitution_residual(which):
             ev.rho, eval_gradients(dense_prob, x, lam).rho, rtol=1e-13)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            s, s_lam = assemble_and_solve_kkt(prob, ev)
+            s, s_lam, *_ = assemble_and_solve_kkt(prob, ev, lam)
         K = _kkt_matrix(prob, ev)
         rhs = -ev.optimality
         sol = np.concatenate([s, s_lam])
@@ -310,6 +327,97 @@ def test_mixed_sparse_dense_problem_converges_in_one_step():
     assert np.allclose(res.x, constrained_lsq_oracle(R, b, E, d), atol=1e-8)
     report = convergence_diagnostics(prob, res)
     assert all(eta <= 1e-6 for eta in report["eta"])
+
+
+# -- square Newton path ---------------------------------------------------
+
+
+def square_block(A_int, A_gam, b, E, d=None):
+    """A sparse :func:`linear_block` whose residual rows plus one
+    multiplier per row of ``E`` number its unknowns."""
+    blk = sparsified(linear_block(A_int, A_gam, b, E, d))
+    assert A_int.shape[0] + E.shape[0] == blk.n_int + blk.n_gam
+    return blk
+
+
+def test_square_predicate_reads_sparsity_and_sizes():
+    _, prob, rng = sparse_linear_problem(2)
+    x, lam = rng.normal(size=prob.n_primal), rng.normal(size=prob.n_mult)
+    assert not sqp.is_square(prob, eval_gradients(prob, x, lam))
+    blk = linear_block(np.eye(2), np.eye(2), np.ones(2),
+                       np.array([[1.0, 0.0], [0.0, 2.0]]))
+    prob = SqpProblem([blk], 2)
+    ev = eval_gradients(prob, np.zeros(4), np.zeros(2))
+    assert not sqp.is_square(prob, ev)          # dense R
+    prob = SqpProblem([sparsified(blk)], 2)
+    ev = eval_gradients(prob, np.zeros(4), np.zeros(2))
+    assert sqp.is_square(prob, ev)
+
+
+def test_square_step_is_newton_step_with_zero_new_multipliers():
+    rng = np.random.default_rng(30)
+    E = rng.normal(size=(2, 2))
+    blk = square_block(np.eye(2) + 0.1 * rng.normal(size=(2, 2)),
+                       rng.normal(size=(2, 2)), rng.normal(size=2), E,
+                       rng.normal(size=2))
+    prob = SqpProblem([blk], 2)
+    x, lam = rng.normal(size=4), rng.normal(size=2)
+    ev = eval_gradients(prob, x, lam)
+    s, s_lam, path, res = assemble_and_solve_kkt(prob, ev, lam)
+    assert path == "newton" and res <= 1e-10
+    assert np.array_equal(lam + s_lam, np.zeros(2))
+    r0, R, c0, _ = blk.evaluate(x[:2], x[2:])
+    A = np.vstack([R.toarray(), np.hstack([np.zeros((2, 2)), E])])
+    ref = np.linalg.solve(A, -np.concatenate([r0, c0]))
+    assert np.linalg.norm(s - ref) <= 1e-12 * np.linalg.norm(ref)
+    K = _kkt_matrix(prob, ev)
+    sol = np.linalg.solve(K.toarray(), -ev.optimality)
+    assert np.linalg.norm(s - sol[:4]) <= 1e-10 * np.linalg.norm(sol[:4])
+
+
+def test_square_fallback_is_recorded_per_iteration():
+    # x_int[1] enters neither residual nor constraint: [R; C] is singular
+    # and the regularized normal-form solve takes the step
+    prob = SqpProblem([square_block(
+        np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.0], [1.0]]),
+        np.array([1.0, 2.0]), np.array([[1.0]]), np.array([0.5]))], 1)
+    ev = eval_gradients(prob, np.zeros(3), np.zeros(1))
+    assert sqp.is_square(prob, ev)
+    with pytest.warns(RuntimeWarning, match="regularization"):
+        res = iterate(prob, np.zeros(3), cfg=SqpConfig(tol=1e-10,
+                                                       max_iter=1))
+    assert res.kkt_path_history == ["kkt+reg"]
+    assert res.kkt_residual_history[0] <= 1e-10
+    np.testing.assert_allclose(res.x, [1.0, 0.0, 0.5], atol=1e-9)
+
+
+def test_kkt_path_and_residual_recorded_per_solve(monkeypatch):
+    prob, rng = random_linear_problem(20)
+    res = iterate(prob, rng.normal(size=prob.n_primal),
+                  cfg=SqpConfig(tol=1e-10))
+    assert res.kkt_path_history == ["kkt"] * res.n_iter
+    assert len(res.kkt_residual_history) == res.n_iter
+    assert all(0.0 <= r <= 1e-10 for r in res.kkt_residual_history)
+    # a solve whose step the line search then rejects is recorded too
+    monkeypatch.setattr(sqp, "MAX_HALVINGS", 0)
+    failed = iterate(SqpProblem([wiggly_block()], 0), np.array([1.7]),
+                     cfg=SqpConfig(tol=1e-10))
+    assert failed.stop_reason == "line_search" and failed.n_iter == 0
+    assert failed.kkt_path_history == ["kkt"]
+    assert len(failed.kkt_residual_history) == 1
+
+
+@pytest.mark.parametrize("which", [None, (0,), ()])
+def test_gauss_newton_product_matches_kkt_hessian_block(which):
+    _, prob, rng = sparse_linear_problem(4, which)
+    for _ in range(3):
+        x = rng.normal(size=prob.n_primal)
+        ev = eval_gradients(prob, x, rng.normal(size=prob.n_mult))
+        s = rng.normal(size=prob.n_primal)
+        n = prob.n_primal
+        ref = _kkt_matrix(prob, ev)[:n, :n] @ s
+        got = sqp._gn_hessian_product(prob, ev, s)
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 # -- iteration -----------------------------------------------------------

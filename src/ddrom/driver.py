@@ -99,8 +99,8 @@ class RomInstance:
     ``sum_i coupling[i] y_i = 0``.  Under ``wfpc`` ``y_i`` is the decoded
     interface trace and the block is ``C A_i`` (dense), or ``A_i`` (CSR)
     for the decomposed FOM; under ``srpc`` ``y_i`` is the interface latent
-    and the block is the ROM port constraint block (CSR).  ``hr`` defaults
-    to no HR, every residual row, on each subdomain.
+    and the block is the ROM port constraint block ``Ahat_i`` (dense).
+    ``hr`` defaults to no HR, every residual row, on each subdomain.
     """
 
     partition: Partition
@@ -238,7 +238,8 @@ def instance_from_maps(partition: Partition, maps: dict, provenance: dict,
     dims = {j: m.latent_dim for j, m in ports.items()}
     return RomInstance(partition=partition, interior_maps=interior,
                        interface_maps=gams, constraint_mode="srpc",
-                       coupling=assemble_rom_constraints(pt, dims).blocks,
+                       coupling=[b.toarray() for b in
+                                 assemble_rom_constraints(pt, dims).blocks],
                        provenance=provenance)
 
 
@@ -317,7 +318,9 @@ def hr_operator(mode: str, rows, basis: np.ndarray, n_res: int):
     """Collocation or gappy HR operator on the sampled ``rows``."""
     if mode == "collocation":
         return hr_collocation(rows, n_res)
-    return hr_gappy(rows, basis)
+    if mode == "gappy":
+        return hr_gappy(rows, basis)
+    raise ValueError("hr mode must be collocation or gappy")
 
 
 def attach_hr(instance: RomInstance, snap, mode: str,
@@ -394,7 +397,7 @@ def _block_structure(instance: RomInstance, i: int, ops: FomOperators):
 
     ``gam`` is the interface outputs the residual reads off the full
     decode (WFPC) or the interface map restricted to them (SRPC);
-    ``coupling`` is the instance's coupling block, dense.
+    ``coupling`` is the instance's block, CSR only for the decomposed FOM.
     When both maps are linear, ``M = blockdiag(J_int, J_gam)`` is constant
     and ``terms`` is ``restricted.product_terms(M)``, computed once here;
     it is ``None`` when a map is nonlinear and ``M`` changes per call.
@@ -416,14 +419,11 @@ def _block_structure(instance: RomInstance, i: int, ops: FomOperators):
     else:
         gam = _restrict_map(instance.interface_maps[i], gio)
         J_gam = _linear_jacobian(gam)
-    coupling = instance.coupling[i]
-    if sp.issparse(coupling):
-        coupling = coupling.toarray()
     J_int = _linear_jacobian(sub_int)
     terms = None
     if J_int is not None and J_gam is not None:
         terms = restricted.product_terms(_blockdiag(J_int, J_gam))
-    return hr, restricted, sub_int, gam, coupling, terms
+    return hr, restricted, sub_int, gam, instance.coupling[i], terms
 
 
 def build_problem(instance: RomInstance, ops: FomOperators) -> SqpProblem:
@@ -434,9 +434,9 @@ def build_problem(instance: RomInstance, ops: FomOperators) -> SqpProblem:
     calling each map's ``decode_and_jacobian`` once, and gets its Jacobian
     product from :meth:`RestrictedResidual.residual_and_product`.  The
     parameter-independent structure is built at the instance's first call
-    and reused; each call binds only the boundary data of ``ops``.  A block
-    whose two maps are sparse linear maps (the decomposed FOM's identities)
-    returns its Jacobian as CSR, which puts the SQP on its sparse KKT path.
+    and reused; each call binds only the boundary data of ``ops``.  The
+    decomposed FOM's blocks (CSR identity maps) return ``R`` and ``C`` as
+    CSR, for the Newton step of ``[R; C]``; ROM blocks return both dense.
     """
     part = instance.partition
     if ops.grid != part.grid:

@@ -5,37 +5,36 @@ Solves
     min_x  0.5 * sum_i || B_i r_i(x_i) ||^2   s.t.  sum_i c_i(x_i^gam) = 0
 
 where each block ``i`` owns an (interior, interface) latent pair and only
-the interface part enters the coupling constraint.  Every iteration solves
-one block-arrow KKT system with Gauss-Newton Hessian blocks and takes a
-damped step chosen by Armijo backtracking on the l1 merit
-``f + mu ||c||_1`` (``f`` the objective, ``mu`` twice the largest new
-multiplier), on which a Gauss-Newton SQP step always descends (Nocedal &
-Wright, ch. 18).  The solve has converged when the first-order
-optimality norm ||(grad L, c)|| drops below ``tol``, or when an
-accepted iteration's full Gauss-Newton step is at most ``tol`` times the
-new iterate's norm; the second test ends nonzero-residual problems whose
-optimality norm has a roundoff floor above ``tol``.  The same loop
+the interface part enters the coupling constraint.  Every iteration takes
+one Gauss-Newton SQP step and damps it by Armijo backtracking on the l1
+merit ``f + mu ||c||_1`` (``f`` the objective, ``mu`` twice the largest
+new multiplier), on which a Gauss-Newton SQP step always descends
+(Nocedal & Wright, ch. 18).  The solve has converged when the
+first-order optimality norm ||(grad L, c)|| drops below ``tol``, or when
+an accepted iteration's full Gauss-Newton step is at most ``tol`` times
+the new iterate's norm; the second test ends nonzero-residual problems
+whose optimality norm has a roundoff floor above ``tol``.  The same loop
 serves the decomposed FOM (identity decoders) and all ROM variants;
 blocks are callables, so the solver knows nothing about Burgers or
-autoencoders.  A block Jacobian may be dense or sparse: with any sparse
-one the KKT matrix is assembled sparse and factored by a sparse LU,
-otherwise densely.
+autoencoders.
 
-When every block Jacobian is sparse and the residual rows plus the
-multipliers number the unknowns (:func:`is_square`; the decomposed FOM,
-whose residual rows number the global unknowns and whose port
-constraints number the duplicated interface unknowns), the stacked
-Jacobian ``[R; C]`` is square.  If it is nonsingular, ``R s = -Br`` and
-``C s = -c`` determine the step, so the Gauss-Newton SQP step is the
-Newton step ``s = -[R; C]^-1 [Br; c]`` and the new multipliers
-``lam + s_lam`` are zero: ``C' (lam + s_lam) = -R' (Br + R s) = 0``,
-and ``C`` has full row rank.  That system is factored as it stands,
-without forming ``R' R``, which would square its condition number.  It
-keeps the normal-form solve's refinement round and 1e-10 gate; an
-exactly singular factor or a failed gate falls back to the normal-form
-KKT solve with its regularization, and the path taken is recorded per
-iteration.  The starting multipliers then affect no step, so the
-driver's multiplier least squares is skipped on such a problem.
+How a step is solved is decided once, by :func:`is_square`, from the
+kind of the blocks' Jacobians ``R_i`` and ``C_i``:
+
+* all sparse, with the residual rows plus the multipliers numbering the
+  unknowns (the decomposed FOM): ``[R; C]`` is square, and the
+  Gauss-Newton SQP step is its Newton step ``s = -[R; C]^-1 [Br; c]``
+  with zero new multipliers (``C' (lam + s_lam) = -R' (Br + R s) = 0``,
+  ``C`` of full row rank).  ``[R; C]`` is factored by a sparse LU as it
+  stands, without squaring its condition number in ``R' R``; a singular
+  factor raises :class:`ConvergenceError`, and the driver skips the
+  multiplier least squares, which could affect no step;
+* all dense (the ROMs): the dense normal-form KKT system
+  ``[[blockdiag(R_i' R_i), C'], [C, 0]]``, regularized once by
+  ``+delta I`` if its solve fails;
+* anything else (a non-square sparse problem such as the under-determined
+  decomposed FOM with hyper-reduction, or sparse and dense blocks mixed)
+  raises ``ValueError`` at its first solve.
 """
 
 from __future__ import annotations
@@ -64,9 +63,10 @@ class SqpBlock:
 
     ``evaluate(x_int, x_gam)`` returns ``(Br, R, c, C)``: the weighted
     residual, its Jacobian over ``[x_int, x_gam]`` (``rows x (n_int +
-    n_gam)``, dense or scipy sparse), this block's additive contribution
-    to the coupling constraint and that contribution's Jacobian in
-    ``x_gam``.  It must be side-effect-free.
+    n_gam)``), this block's additive contribution to the coupling
+    constraint and that contribution's Jacobian in ``x_gam``; ``R`` and
+    ``C`` are scipy sparse in every block or dense in every block (see
+    :func:`is_square`).  It must be side-effect-free.
     """
 
     n_int: int
@@ -113,8 +113,8 @@ class SqpConfig:
 @dataclass(eq=False)
 class _BlockEval:
     Br: np.ndarray
-    R: np.ndarray
-    con_jac: np.ndarray
+    R: object           # dense, or scipy sparse (see is_square)
+    con_jac: object     # the same kind as R
     seconds: float
 
 
@@ -157,7 +157,8 @@ def eval_gradients(prob: SqpProblem, x: np.ndarray,
         if not sp.issparse(R):
             R = np.asarray(R, dtype=float)
         cval = np.asarray(cval, dtype=float)
-        cjac = np.atleast_2d(np.asarray(cjac, dtype=float))
+        if not sp.issparse(cjac):
+            cjac = np.atleast_2d(np.asarray(cjac, dtype=float))
         if cval.shape != (prob.n_mult,) or cjac.shape != (prob.n_mult,
                                                           block.n_gam):
             raise ValueError(f"block {i} constraint has inconsistent shape")
@@ -181,56 +182,57 @@ def _gradients(prob: SqpProblem, blocks, con, lam) -> SqpEval:
                    block_sum_seconds=sum(b.seconds for b in blocks))
 
 
-def _kkt_matrix(prob: SqpProblem, ev: SqpEval):
-    """The block-arrow KKT matrix ``[[blockdiag(R_i' R_i), C'], [C, 0]]``:
-    dense when every ``R_i`` is dense, otherwise CSC from one COO
-    construction over the blocks' ``R_i' R_i`` and the nonzeros of ``C``."""
+def _kkt_matrix(prob: SqpProblem, ev: SqpEval) -> np.ndarray:
+    """The dense block-arrow KKT matrix ``[[blockdiag(R_i' R_i), C'],
+    [C, 0]]`` of an all-dense problem."""
     n, m = prob.n_primal, prob.n_mult
-    if not any(sp.issparse(be.R) for be in ev.blocks):
-        K = np.zeros((n + m, n + m))
-        for off, block, be in zip(prob.offsets, prob.blocks, ev.blocks):
-            w = block.n_int + block.n_gam
-            K[off:off + w, off:off + w] = be.R.T @ be.R
-            gs = off + block.n_int
-            K[n:, gs:gs + block.n_gam] = be.con_jac
-            K[gs:gs + block.n_gam, n:] = be.con_jac.T
-        return K
-    rows, cols, vals = [], [], []
+    K = np.zeros((n + m, n + m))
     for off, block, be in zip(prob.offsets, prob.blocks, ev.blocks):
-        H = sp.coo_matrix(be.R.T @ be.R)
-        r, c = np.nonzero(be.con_jac)
-        v = be.con_jac[r, c]
-        c = c + off + block.n_int
-        rows += [H.row + off, r + n, c]
-        cols += [H.col + off, c, r + n]
-        vals += [H.data, v, v]
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n + m, n + m)).tocsc()
+        w = block.n_int + block.n_gam
+        K[off:off + w, off:off + w] = be.R.T @ be.R
+        gs = off + block.n_int
+        K[n:, gs:gs + block.n_gam] = be.con_jac
+        K[gs:gs + block.n_gam, n:] = be.con_jac.T
+    return K
 
 
 def is_square(prob: SqpProblem, ev: SqpEval) -> bool:
-    """Whether the evaluated problem's step is the Newton step of the
-    square sparse system ``[R; C]``: every block Jacobian is sparse, and
-    the residual rows plus the multipliers number the unknowns."""
-    return (all(sp.issparse(be.R) for be in ev.blocks)
-            and sum(be.R.shape[0] for be in ev.blocks) + prob.n_mult
-            == prob.n_primal)
+    """Which step the evaluated problem takes.
+
+    ``True`` when every block's ``R`` and ``C`` are sparse and the residual
+    rows plus the multipliers number the unknowns: the step is the Newton
+    step of the square ``[R; C]``.  ``False`` when every block's ``R`` and
+    ``C`` are dense: the step solves the dense normal-form KKT system.
+    Any other problem raises ``ValueError`` naming its shapes.
+    """
+    kinds = {(sp.issparse(be.R), sp.issparse(be.con_jac))
+             for be in ev.blocks}
+    if kinds == {(False, False)}:
+        return False
+    rows = sum(be.R.shape[0] for be in ev.blocks)
+    if kinds == {(True, True)} and rows + prob.n_mult == prob.n_primal:
+        return True
+    raise ValueError(
+        "SQP blocks must be all sparse with a square [R; C] or all dense: "
+        f"{rows} residual rows + {prob.n_mult} multipliers vs "
+        f"{prob.n_primal} unknowns; (R, C) per block: " + ", ".join(
+            f"({type(be.R).__name__} {be.R.shape}, "
+            f"{type(be.con_jac).__name__} {be.con_jac.shape})"
+            for be in ev.blocks))
 
 
 def _newton_matrix(prob: SqpProblem, ev: SqpEval):
     """The square ``[R; C]`` of an :func:`is_square` problem as CSC, from
     one COO construction over the stacked ``R_i`` (at their row and column
-    offsets) and the nonzeros of ``C``."""
+    offsets) and the ``C_i`` (at their interface columns)."""
     n, n_res = prob.n_primal, prob.n_primal - prob.n_mult
     rows, cols, vals = [], [], []
     row = 0
     for off, block, be in zip(prob.offsets, prob.blocks, ev.blocks):
-        R = be.R.tocoo()
-        r, c = np.nonzero(be.con_jac)
-        rows += [R.row + row, r + n_res]
-        cols += [R.col + off, c + off + block.n_int]
-        vals += [R.data, be.con_jac[r, c]]
+        R, C = be.R.tocoo(), be.con_jac.tocoo()
+        rows += [R.row + row, C.row + n_res]
+        cols += [R.col + off, C.col + off + block.n_int]
+        vals += [R.data, C.data]
         row += R.shape[0]
     return sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
@@ -272,27 +274,28 @@ def assemble_and_solve_kkt(prob: SqpProblem, ev: SqpEval, lam):
     """Solve for the SQP step ``(s, s_lam)`` at the evaluation ``ev`` made
     at the multipliers ``lam``; returns ``(s, s_lam, path, residual)``.
 
-    On an :func:`is_square` problem the step is the Newton step of
-    ``[R; C]`` (``path`` ``"newton"``, ``s_lam = -lam``).  Otherwise, or
-    when that factor is exactly singular or misses the gate below, the
-    block-arrow saddle-point system ``[[blockdiag(R_i' R_i), C'], [C, 0]]``
-    is solved (``"kkt"``).  Each solve is an LU (sparse when any block
-    Jacobian is sparse, see :func:`_lu`) with one round of iterative
-    refinement, and its back-substitution residual must come out below
-    1e-10 relative.  If the saddle-point solve misses it, the Hessian
-    blocks are regularized by +delta*I once, with a warning, and the solve
-    retried (``"kkt+reg"``).  ``residual`` is the accepted solve's
-    relative back-substitution residual.
+    :func:`is_square` picks the system (or raises ``ValueError``): the
+    Newton step of ``[R; C]`` with ``s_lam = -lam`` (``path`` ``"newton"``)
+    or the dense saddle-point system ``[[blockdiag(R_i' R_i), C'], [C, 0]]``
+    (``"kkt"``).  Each is an LU (see :func:`_lu`) with one round of
+    iterative refinement whose relative back-substitution residual,
+    returned as ``residual``, must come out below 1e-10.  A Newton solve
+    that misses it raises ``ConvergenceError``; a KKT solve that misses it
+    is retried once with its Hessian blocks regularized by +delta*I, with
+    a warning (``"kkt+reg"``), and then raises.
     """
     n = prob.n_primal
     if is_square(prob, ev):
         rhs = -np.concatenate([be.Br for be in ev.blocks] + [ev.con])
         try:
-            s, res, _ = _refined_solve(_newton_matrix(prob, ev), rhs)
-        except scipy.linalg.LinAlgError:
-            res = np.inf
-        if res <= 1e-10:
-            return s, -lam, "newton", res
+            s, res, pivot = _refined_solve(_newton_matrix(prob, ev), rhs)
+        except scipy.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"[R; C] is singular ({exc})") from exc
+        if res > 1e-10:
+            raise ConvergenceError(
+                f"[R; C] back-substitution residual {res:.3e} exceeds "
+                f"1e-10 (smallest pivot {pivot:.3e})")
+        return s, -lam, "newton", res
     K = _kkt_matrix(prob, ev)
     rhs = -ev.optimality
     path = "kkt"
@@ -307,11 +310,7 @@ def assemble_and_solve_kkt(prob: SqpProblem, ev: SqpEval, lam):
         warnings.warn(
             f"KKT solve needed +{delta:.3e} regularization "
             f"(smallest pivot {pivot:.3e})", RuntimeWarning, stacklevel=2)
-        if sp.issparse(K):
-            K = (K + sp.diags(np.repeat([delta, 0.0], [n, prob.n_mult]))
-                 ).tocsc()
-        else:
-            K[np.arange(n), np.arange(n)] += delta
+        K[np.arange(n), np.arange(n)] += delta
         try:
             sol, res, pivot = _refined_solve(K, rhs)
         except scipy.linalg.LinAlgError as exc:

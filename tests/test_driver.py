@@ -7,8 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg
 
 from ddrom.autoencoder import TrainConfig
 from ddrom.burgers import Grid2D, ParameterPoint, assemble, exact_state, \
@@ -26,6 +26,7 @@ from ddrom.driver import (
     build_problem,
     default_n_c,
     fit_initializer,
+    hr_operator,
     init_guess,
     inverse_lipschitz_estimate,
     multiplier_least_squares,
@@ -41,8 +42,8 @@ from ddrom.partition import assemble_fom_constraints, \
 from ddrom.pod import LinearMap
 from ddrom.snapshots import generate, sample_grid
 from ddrom import sqp
-from ddrom.sqp import SqpConfig, _kkt_matrix, assemble_and_solve_kkt, \
-    eval_gradients, is_square, iterate
+from ddrom.sqp import SqpBlock, SqpConfig, SqpProblem, _kkt_matrix, \
+    assemble_and_solve_kkt, eval_gradients, is_square, iterate
 
 
 @pytest.fixture(scope="module")
@@ -154,8 +155,8 @@ def test_coupling_blocks_bitwise_equal_their_sources(desk, ls_wfpc,
     Ahat = assemble_rom_constraints(part.ports,
                                     port_latent_dims(part.ports, 6))
     for block, Ahat_i in zip(ls_srpc.coupling, Ahat.blocks):
-        assert sp.issparse(block)
-        np.testing.assert_array_equal(block.toarray(), Ahat_i.toarray())
+        assert isinstance(block, np.ndarray)
+        np.testing.assert_array_equal(block, Ahat_i.toarray())
 
 
 def test_srpc_constraints_sized_by_rank_deficient_port_maps():
@@ -258,16 +259,32 @@ def lstsq_multipliers(prob, ev):
     evaluated at zero multipliers."""
     rows, rhs = [], []
     for off, blk, be in zip(prob.offsets, prob.blocks, ev.blocks):
-        rows.append(be.con_jac.T)
+        rows.append(dense(be.con_jac).T)
         rhs.append(-ev.rho[off + blk.n_int:off + blk.n_int + blk.n_gam])
     lam, *_ = np.linalg.lstsq(np.vstack(rows), np.concatenate(rhs),
                               rcond=None)
     return lam
 
 
+def dense_newton_matrix(prob, ev):
+    """The square ``[R; C]`` of an evaluated DD-FOM problem, assembled
+    densely from its blocks."""
+    n, m = prob.n_primal, prob.n_mult
+    A = np.zeros((n, n))
+    row = 0
+    for off, blk, be in zip(prob.offsets, prob.blocks, ev.blocks):
+        A[row:row + be.R.shape[0], off:off + be.R.shape[1]] = be.R.toarray()
+        A[n - m:, off + blk.n_int:off + blk.n_int + blk.n_gam] = \
+            be.con_jac.toarray()
+        row += be.R.shape[0]
+    assert row == n - m
+    return A
+
+
 @pytest.mark.parametrize("nx,ny", [(60, 8), (120, 12)])
 def test_dd_fom_square_step_matches_dense_and_normal_form(nx, ny):
     prob, x0 = dd_fom_problem(nx, ny)
+    ref_prob = densified(prob)
     n, m = prob.n_primal, prob.n_mult
     lam = np.random.default_rng(nx).standard_normal(m)
     ev0 = eval_gradients(prob, x0, lam)
@@ -279,15 +296,7 @@ def test_dd_fom_square_step_matches_dense_and_normal_form(nx, ny):
         s, s_lam, path, res = assemble_and_solve_kkt(prob, ev, lam)
         assert path == "newton" and res <= 1e-10
         assert np.array_equal(lam + s_lam, np.zeros(m))
-        A = np.zeros((n, n))
-        row = 0
-        for off, blk, be in zip(prob.offsets, prob.blocks, ev.blocks):
-            A[row:row + be.R.shape[0], off:off + be.R.shape[1]] = \
-                be.R.toarray()
-            A[n - m:, off + blk.n_int:off + blk.n_int + blk.n_gam] = \
-                be.con_jac
-            row += be.R.shape[0]
-        assert row == n - m
+        A = dense_newton_matrix(prob, ev)
         # the dense reference takes the same one refinement round: [R; C]
         # has a condition number near 4e5 at 120x12, and an unrefined
         # solve's forward error reaches 1.5e-12 there
@@ -295,10 +304,11 @@ def test_dd_fom_square_step_matches_dense_and_normal_form(nx, ny):
         ref = np.linalg.solve(A, rhs)
         ref += np.linalg.solve(A, rhs - A @ ref)
         assert np.linalg.norm(s - ref) <= 1e-12 * np.linalg.norm(ref)
-        K = _kkt_matrix(prob, ev)
-        solve = scipy.sparse.linalg.splu(K).solve
-        normal = solve(-ev.optimality)
-        normal += solve(-ev.optimality - K @ normal)
+        # the dense normal-form KKT of the densified blocks, refined once
+        K = _kkt_matrix(ref_prob, eval_gradients(ref_prob, x, lam))
+        lu = scipy.linalg.lu_factor(K)
+        normal = scipy.linalg.lu_solve(lu, -ev.optimality)
+        normal += scipy.linalg.lu_solve(lu, -ev.optimality - K @ normal)
         assert np.linalg.norm(s - normal[:n]) <= 1e-10 * np.linalg.norm(
             normal[:n])
 
@@ -329,21 +339,46 @@ def test_dd_fom_iterates_do_not_depend_on_starting_multipliers():
         np.testing.assert_array_equal(x_zero, x_ls)
 
 
-def test_dd_fom_with_collocation_hr_never_takes_the_square_path(
-        desk, monkeypatch):
-    # sampled rows leave the DD-FOM under-determined: the normal-form
-    # solve, regularized, takes every step
+def test_dd_fom_with_collocation_hr_is_rejected_at_first_solve(desk):
+    # sampled rows leave the DD-FOM under-determined: [R; C] is not
+    # square, and no normal-form solve stands in for its Newton step
     grid, part, snap = desk
     inst = attach_hr(build_dd_fom(part), snap, "collocation", n_samples=30)
-    prob = build_problem(inst, assemble(grid, snap.params[7]))
+    p = snap.params[7]
+    prob = build_problem(inst, assemble(grid, p))
     x0 = np.zeros(prob.n_primal)
-    assert not is_square(prob, eval_gradients(prob, x0,
-                                              np.zeros(prob.n_mult)))
-    monkeypatch.setattr(sqp, "_newton_matrix", None)
-    with pytest.warns(RuntimeWarning, match="regularization"):
-        res = iterate(prob, x0, cfg=SqpConfig(tol=1e-6, max_iter=2))
-    assert res.kkt_path_history
-    assert set(res.kkt_path_history) <= {"kkt", "kkt+reg"}
+    ev = eval_gradients(prob, x0, np.zeros(prob.n_mult))
+    rows = sum(be.R.shape[0] for be in ev.blocks)
+    assert rows + prob.n_mult < prob.n_primal
+    with pytest.raises(ValueError, match=f"{rows} residual rows"):
+        assemble_and_solve_kkt(prob, ev, np.zeros(prob.n_mult))
+    with pytest.raises(ValueError, match="square"):
+        iterate(prob, x0, cfg=SqpConfig(tol=1e-6, max_iter=2))
+    with pytest.raises(ValueError, match="square"):
+        solve_rom(fit_initializer(inst, snap), p, compute_error=False)
+
+
+def test_dd_fom_coupling_stays_csr_into_the_newton_matrix(desk,
+                                                          monkeypatch):
+    grid, part, snap = desk
+    inst = build_dd_fom(part)
+    prob = build_problem(inst, assemble(grid, snap.params[7]))
+    x = perturbed_latent(inst, snap, 7)
+    A = assemble_fom_constraints(part.ports)
+    for blk, A_i, (xi, xg) in zip(prob.blocks, A.blocks, prob.split(x)):
+        C = blk.evaluate(xi, xg)[3]
+        assert sp.issparse(C) and C.format == "csr"
+        np.testing.assert_array_equal(C.toarray(), A_i.toarray())
+    ev = eval_gradients(prob, x, np.zeros(prob.n_mult))
+    assert all(sp.issparse(be.con_jac) for be in ev.blocks)
+
+    def nonzero(*args, **kwargs):
+        raise AssertionError("np.nonzero on a coupling block")
+
+    monkeypatch.setattr(np, "nonzero", nonzero)
+    K = sqp._newton_matrix(prob, ev)
+    monkeypatch.undo()
+    np.testing.assert_array_equal(K.toarray(), dense_newton_matrix(prob, ev))
 
 
 # ------------------------------------------------------------------ LS-ROM
@@ -517,6 +552,17 @@ def test_hr_rejects_unknown_mode(desk, ls_wfpc):
         attach_hr(ls_wfpc, snap, "deim")
 
 
+def test_hr_operator_rejects_unknown_mode():
+    # the CLI's --hr-dir path builds operators directly: a misspelt mode
+    # must not turn into gappy HR
+    rows, basis = np.array([0, 1]), np.eye(4)[:, :2]
+    assert hr_operator("collocation", rows, basis, 4).mode == "collocation"
+    assert hr_operator("gappy", rows, basis, 4).mode == "gappy"
+    for mode in ("colocation", "none", "deim"):
+        with pytest.raises(ValueError, match="mode"):
+            hr_operator(mode, rows, basis, 4)
+
+
 # ------------------------------------------------- one subdomain residual path
 
 @pytest.fixture(scope="module")
@@ -557,6 +603,19 @@ def assert_rel_close(got, ref, rel=1e-12):
 def dense(a):
     """``a`` as a dense array (DD-FOM Jacobians are CSR)."""
     return a.toarray() if sp.issparse(a) else np.asarray(a)
+
+
+def densified(prob):
+    """``prob`` with every block's ``R`` and ``C`` returned dense: the
+    problem the dense normal-form ``_kkt_matrix`` takes as reference."""
+    def dense_block(block):
+        def evaluate(xi, xg):
+            r, R, c, C = block.evaluate(xi, xg)
+            return r, dense(R), c, dense(C)
+
+        return SqpBlock(block.n_int, block.n_gam, evaluate)
+
+    return SqpProblem([dense_block(b) for b in prob.blocks], prob.n_mult)
 
 
 @pytest.mark.parametrize("name", ["ls-wfpc", "ls-srpc", "dd-fom",
@@ -605,7 +664,7 @@ def test_hr_blocks_weight_full_row_blocks(desk, name, mode, request):
         for g, f in zip(got[:2], ref[:2]):
             assert_rel_close(dense(g), hr.matrix() @ dense(f))
         for g, f in zip(got[2:], ref[2:]):
-            np.testing.assert_array_equal(g, f)
+            np.testing.assert_array_equal(dense(g), dense(f))
 
 
 @pytest.mark.parametrize("name", ["ls-wfpc", "ls-srpc", "nm-wfpc-hr",
@@ -650,11 +709,11 @@ def test_block_jacobian_is_csr_only_for_sparse_maps(desk, name, mode,
             prob.blocks, part.subdomains, prob.split(x),
             prob.split(np.zeros(x.size))):
         _, R, _, C = blk.evaluate(xi, xg)
-        assert isinstance(C, np.ndarray)
         if name != "dd-fom":
-            assert isinstance(R, np.ndarray)
+            assert isinstance(R, np.ndarray) and isinstance(C, np.ndarray)
             continue
         assert sp.issparse(R) and R.format == "csr"
+        assert sp.issparse(C) and C.format == "csr"
         if mode is None:
             # identity maps: R is the residual Jacobian itself, with one
             # sparsity pattern at every point, the zero state included

@@ -49,12 +49,26 @@ def random_linear_problem(seed, n_blocks=2, n_mult=2):
 
 
 def sparsified(block):
-    """``block`` with its Jacobian returned as CSR."""
+    """``block`` with its Jacobians ``R`` and ``C`` returned as CSR."""
     def evaluate(xi, xg):
         r, R, c, C = block.evaluate(xi, xg)
-        return r, sp.csr_matrix(R), c, C
+        return r, sp.csr_matrix(R), c, sp.csr_matrix(C)
 
     return SqpBlock(block.n_int, block.n_gam, evaluate)
+
+
+def densified(prob):
+    """``prob`` with every block's ``R`` and ``C`` returned dense: the
+    problem the dense normal-form ``_kkt_matrix`` takes as reference."""
+    def dense_block(block):
+        def evaluate(xi, xg):
+            r, R, c, C = block.evaluate(xi, xg)
+            return (r, R.toarray() if sp.issparse(R) else R, c,
+                    C.toarray() if sp.issparse(C) else C)
+
+        return SqpBlock(block.n_int, block.n_gam, evaluate)
+
+    return SqpProblem([dense_block(b) for b in prob.blocks], prob.n_mult)
 
 
 def global_matrices(prob):
@@ -234,33 +248,13 @@ def test_singular_kkt_raises_after_regularization_warning():
             assemble_and_solve_kkt(prob, ev, np.zeros(2))
 
 
-def test_singular_sparse_kkt_raises_after_regularization_warning(
-        monkeypatch):
-    # the same duplicated rows on a square problem: SuperLU finds [R; C]
-    # exactly singular, and the normal-form fallback's factor too, before
-    # and after the regularization
-    E = np.array([[1.0, 1.0], [1.0, 1.0]])
-    blk = sparsified(linear_block(np.eye(2), np.eye(2), np.ones(2), E))
-    prob = SqpProblem([blk], 2)
-    ev = eval_gradients(prob, np.zeros(4), np.zeros(2))
-    assert sp.issparse(_kkt_matrix(prob, ev))
-    assert sqp.is_square(prob, ev)
-    calls = count_newton_matrices(monkeypatch)
-    with pytest.warns(RuntimeWarning, match="regularization"):
-        with pytest.raises(ConvergenceError, match="KKT matrix is singular"):
-            assemble_and_solve_kkt(prob, ev, np.zeros(2))
-    assert calls == [1]
-
-
-@pytest.mark.parametrize("make", [lambda b: b, sparsified],
-                         ids=["dense", "sparse"])
-def test_regularizable_kkt_succeeds_after_one_regularization(make):
+def test_regularizable_kkt_succeeds_after_one_regularization():
     # x_int[1] enters neither the residual nor the constraint: a zero row
     # and column that +delta*I on the Hessian block repairs
     A_int = np.array([[1.0, 0.0], [0.0, 0.0]])
     A_gam = np.array([[0.0], [1.0]])
-    blk = make(linear_block(A_int, A_gam, np.array([1.0, 2.0]),
-                            np.array([[1.0]]), np.array([0.5])))
+    blk = linear_block(A_int, A_gam, np.array([1.0, 2.0]),
+                       np.array([[1.0]]), np.array([0.5]))
     prob = SqpProblem([blk], 1)
     ev = eval_gradients(prob, np.zeros(3), np.zeros(1))
     with warnings.catch_warnings(record=True) as caught:
@@ -272,7 +266,7 @@ def test_regularizable_kkt_succeeds_after_one_regularization(make):
     assert np.all(np.isfinite(s_lam))
 
 
-# -- sparse KKT path -------------------------------------------------------
+# -- square Newton path ---------------------------------------------------
 
 
 def sparse_linear_problem(seed, which=None):
@@ -285,51 +279,17 @@ def sparse_linear_problem(seed, which=None):
     return prob, SqpProblem(blocks, prob.n_mult), rng
 
 
-@pytest.mark.parametrize("which", [None, (0,), (1,)])
-def test_sparse_kkt_matrix_matches_dense_composition(which):
-    dense_prob, prob, rng = sparse_linear_problem(2, which)
+def test_mixed_sparse_dense_problem_is_rejected():
+    # one sparse and one dense block fit neither step: the first solve
+    # raises, naming the blocks' shapes, instead of choosing one
+    _, prob, rng = sparse_linear_problem(20, which=(1,))
     x = rng.normal(size=prob.n_primal)
-    lam = rng.normal(size=prob.n_mult)
-    K = _kkt_matrix(prob, eval_gradients(prob, x, lam))
-    ref = _kkt_matrix(dense_prob, eval_gradients(dense_prob, x, lam))
-    assert sp.issparse(K) and K.format == "csc"
-    assert isinstance(ref, np.ndarray)
-    assert np.linalg.norm(K.toarray() - ref) <= 1e-14 * np.linalg.norm(ref)
-    n = prob.n_primal
-    s = rng.normal(size=n)
-    np.testing.assert_allclose(K[:n, :n] @ s, ref[:n, :n] @ s, rtol=1e-13)
-
-
-@pytest.mark.parametrize("which", [None, (0,), (1,)])
-def test_sparse_kkt_solve_backsubstitution_residual(which):
-    for seed in range(5):
-        dense_prob, prob, rng = sparse_linear_problem(seed, which)
-        x = rng.normal(size=prob.n_primal)
-        lam = rng.normal(size=prob.n_mult)
-        ev = eval_gradients(prob, x, lam)
-        np.testing.assert_allclose(
-            ev.rho, eval_gradients(dense_prob, x, lam).rho, rtol=1e-13)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            s, s_lam, *_ = assemble_and_solve_kkt(prob, ev, lam)
-        K = _kkt_matrix(prob, ev)
-        rhs = -ev.optimality
-        sol = np.concatenate([s, s_lam])
-        assert np.linalg.norm(K @ sol - rhs) <= 1e-10 * np.linalg.norm(rhs)
-
-
-def test_mixed_sparse_dense_problem_converges_in_one_step():
-    dense_prob, prob, rng = sparse_linear_problem(20, which=(1,))
-    R, b, E, d = global_matrices(dense_prob)
-    res = iterate(prob, rng.normal(size=prob.n_primal),
-                  cfg=SqpConfig(tol=1e-10))
-    assert res.converged and res.n_iter == 1
-    assert np.allclose(res.x, constrained_lsq_oracle(R, b, E, d), atol=1e-8)
-    report = convergence_diagnostics(prob, res)
-    assert all(eta <= 1e-6 for eta in report["eta"])
-
-
-# -- square Newton path ---------------------------------------------------
+    ev = eval_gradients(prob, x, np.zeros(prob.n_mult))
+    with pytest.raises(ValueError, match=r"\(ndarray \(8, \d\), ndarray "
+                       r"\(2, \d\)\), \(csr_matrix \(8, \d\), csr_matrix"):
+        assemble_and_solve_kkt(prob, ev, np.zeros(prob.n_mult))
+    with pytest.raises(ValueError, match="all sparse .* or all dense"):
+        iterate(prob, x)
 
 
 def square_block(A_int, A_gam, b, E, d=None):
@@ -343,12 +303,13 @@ def square_block(A_int, A_gam, b, E, d=None):
 def test_square_predicate_reads_sparsity_and_sizes():
     _, prob, rng = sparse_linear_problem(2)
     x, lam = rng.normal(size=prob.n_primal), rng.normal(size=prob.n_mult)
-    assert not sqp.is_square(prob, eval_gradients(prob, x, lam))
+    with pytest.raises(ValueError, match="16 residual rows"):
+        sqp.is_square(prob, eval_gradients(prob, x, lam))   # not square
     blk = linear_block(np.eye(2), np.eye(2), np.ones(2),
                        np.array([[1.0, 0.0], [0.0, 2.0]]))
     prob = SqpProblem([blk], 2)
     ev = eval_gradients(prob, np.zeros(4), np.zeros(2))
-    assert not sqp.is_square(prob, ev)          # dense R
+    assert not sqp.is_square(prob, ev)          # dense R and C
     prob = SqpProblem([sparsified(blk)], 2)
     ev = eval_gradients(prob, np.zeros(4), np.zeros(2))
     assert sqp.is_square(prob, ev)
@@ -370,25 +331,34 @@ def test_square_step_is_newton_step_with_zero_new_multipliers():
     A = np.vstack([R.toarray(), np.hstack([np.zeros((2, 2)), E])])
     ref = np.linalg.solve(A, -np.concatenate([r0, c0]))
     assert np.linalg.norm(s - ref) <= 1e-12 * np.linalg.norm(ref)
-    K = _kkt_matrix(prob, ev)
-    sol = np.linalg.solve(K.toarray(), -ev.optimality)
+    ref_prob = densified(prob)
+    K = _kkt_matrix(ref_prob, eval_gradients(ref_prob, x, lam))
+    sol = np.linalg.solve(K, -ev.optimality)
     assert np.linalg.norm(s - sol[:4]) <= 1e-10 * np.linalg.norm(sol[:4])
 
 
-def test_square_fallback_is_recorded_per_iteration():
-    # x_int[1] enters neither residual nor constraint: [R; C] is singular
-    # and the regularized normal-form solve takes the step
-    prob = SqpProblem([square_block(
-        np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.0], [1.0]]),
-        np.array([1.0, 2.0]), np.array([[1.0]]), np.array([0.5]))], 1)
-    ev = eval_gradients(prob, np.zeros(3), np.zeros(1))
-    assert sqp.is_square(prob, ev)
-    with pytest.warns(RuntimeWarning, match="regularization"):
-        res = iterate(prob, np.zeros(3), cfg=SqpConfig(tol=1e-10,
-                                                       max_iter=1))
-    assert res.kkt_path_history == ["kkt+reg"]
-    assert res.kkt_residual_history[0] <= 1e-10
-    np.testing.assert_allclose(res.x, [1.0, 0.0, 0.5], atol=1e-9)
+def test_singular_square_system_raises_convergence_error(monkeypatch):
+    # [R; C] singular through a zero column (x_int[1] enters neither
+    # residual nor constraint) and through duplicated constraint rows: no
+    # normal-form solve stands in for the Newton step
+    singular = [
+        SqpProblem([square_block(
+            np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.0], [1.0]]),
+            np.array([1.0, 2.0]), np.array([[1.0]]), np.array([0.5]))], 1),
+        SqpProblem([square_block(
+            np.eye(2), np.eye(2), np.ones(2),
+            np.array([[1.0, 1.0], [1.0, 1.0]]))], 2)]
+    monkeypatch.setattr(sqp, "_kkt_matrix", None)
+    for prob in singular:
+        x0 = np.zeros(prob.n_primal)
+        ev = eval_gradients(prob, x0, np.zeros(prob.n_mult))
+        assert sqp.is_square(prob, ev)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match=r"\[R; C\]"):
+                assemble_and_solve_kkt(prob, ev, np.zeros(prob.n_mult))
+            with pytest.raises(ConvergenceError, match=r"\[R; C\]"):
+                iterate(prob, x0, cfg=SqpConfig(tol=1e-10, max_iter=1))
 
 
 def test_kkt_path_and_residual_recorded_per_solve(monkeypatch):
@@ -409,13 +379,17 @@ def test_kkt_path_and_residual_recorded_per_solve(monkeypatch):
 
 @pytest.mark.parametrize("which", [None, (0,), ()])
 def test_gauss_newton_product_matches_kkt_hessian_block(which):
+    # any mix of sparse and dense blocks, against the dense normal form
     _, prob, rng = sparse_linear_problem(4, which)
+    ref_prob = densified(prob)
     for _ in range(3):
         x = rng.normal(size=prob.n_primal)
-        ev = eval_gradients(prob, x, rng.normal(size=prob.n_mult))
+        lam = rng.normal(size=prob.n_mult)
+        ev = eval_gradients(prob, x, lam)
         s = rng.normal(size=prob.n_primal)
         n = prob.n_primal
-        ref = _kkt_matrix(prob, ev)[:n, :n] @ s
+        ref = _kkt_matrix(ref_prob, eval_gradients(ref_prob, x, lam))[
+            :n, :n] @ s
         got = sqp._gn_hessian_product(prob, ev, s)
         assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 

@@ -280,30 +280,33 @@ def train(X: np.ndarray, mask: BandedMask, n: int,
     params = [ae.W2g.data, ae.W1h.data, ae.W2h, ae.W1g, ae.b1g, ae.b1h]
     opt = _Adam([p.shape for p in params], LEARNING_RATE)
 
+    # the forward pass keeps expit(Z) for the backward pass's derivative
     def forward_loss(Xb):
         Z1 = ae.W1h @ Xb + ae.b1h[:, None]
-        A1 = _act(activation, Z1)
+        S1 = expit(Z1)
+        A1 = _act(activation, Z1, S1)
         XH = ae.W2h @ A1
         Z2 = ae.W1g @ XH + ae.b1g[:, None]
-        A2 = _act(activation, Z2)
+        S2 = expit(Z2)
+        A2 = _act(activation, Z2, S2)
         Y = ae.W2g @ A2
         R = Y - Xb
         loss = float(np.sum(R * R) / Xb.shape[1])
-        return loss, (Xb, Z1, A1, XH, Z2, A2, R)
+        return loss, (Xb, Z1, S1, A1, XH, Z2, S2, A2, R)
 
     def backward(cache):
-        Xb, Z1, A1, XH, Z2, A2, R = cache
+        Xb, Z1, S1, A1, XH, Z2, S2, A2, R = cache
         B = Xb.shape[1]
         dY = (2.0 / B) * R
         gW2g = np.einsum("kb,kb->k", dY[g_rows], A2[g_cols])
         dA2 = ae.W2g.T @ dY
-        dZ2 = dA2 * _act_deriv(activation, Z2)
+        dZ2 = dA2 * _act_deriv(activation, Z2, S2)
         gW1g = dZ2 @ XH.T
         gb1g = dZ2.sum(axis=1)
         dXH = ae.W1g.T @ dZ2
         gW2h = dXH @ A1.T
         dA1 = ae.W2h.T @ dXH
-        dZ1 = dA1 * _act_deriv(activation, Z1)
+        dZ1 = dA1 * _act_deriv(activation, Z1, S1)
         gW1h = np.einsum("kb,kb->k", dZ1[h_rows], Xb[h_cols])
         gb1h = dZ1.sum(axis=1)
         return [gW2g, gW1h, gW2h, gW1g, gb1g, gb1h]

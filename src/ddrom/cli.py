@@ -2,10 +2,10 @@
 
 Every subcommand accepts ``--config FILE`` (flat ``key = value`` lines,
 same names as the long flags) whose values act as defaults; explicit
-flags win.  Each run writes its artifacts into a fresh output directory
-via a temp-dir-plus-rename so failures never leave partial outputs, and
-drops a ``meta.txt`` echoing the resolved configuration, the seed, the
-package version and the wall time.
+flags win; a key no subcommand takes is a usage error.  Each run writes
+its artifacts into a fresh output directory via a temp-dir-plus-rename so
+failures never leave partial outputs, and drops a ``meta.txt`` echoing
+the resolved configuration, the package version and the wall time.
 
 Exit codes: 0 success, 1 runtime failure (one-line ``error:`` message on
 stderr), 2 usage error.
@@ -42,7 +42,7 @@ from .driver import (
     verify_bounds,
 )
 from .partition import build_partition
-from .pod import LinearMap, pod
+from .pod import LinearMap
 from .snapshots import generate, load, sample_grid, save
 from .sqp import SqpConfig
 
@@ -163,13 +163,7 @@ def cmd_snapshots(args, t0):
 def cmd_train_pod(args, t0):
     snap = load(args.snapshots)
     part = build_partition(snap.grid, snap.nsub_x, snap.nsub_y)
-    if args.energy is not None:
-        maps = {tag: [LinearMap(pod(X[i], tol=args.energy).Phi)
-                      for i in range(part.n_sub)]
-                for tag, X in (("interior", snap.interior),
-                               ("interface", snap.interface))}
-    else:
-        maps = pod_maps(part, snap, args.ni_omega, args.ni_gamma, "wfpc")
+    maps = pod_maps(part, snap, args.ni_omega, args.ni_gamma, "wfpc")
     mats = {f"{tag}_{i}": maps[tag][i].Phi for i in range(part.n_sub)
             for tag in ("interior", "interface")}
     if args.port_n is not None:
@@ -191,8 +185,6 @@ def cmd_train_ae(args, t0):
                             and args.port_n is not None) else args.ni_gamma
     cfg = TrainConfig(epochs=args.epochs, seed=args.seed)
     nets = train_nets(part, snap, args.ni_omega, n_gam, args.constraint,
-                      band=args.band, shift=args.shift,
-                      port_band=args.port_band, port_shift=args.port_shift,
                       train_cfg=cfg)
     with _atomic_dir(args.out) as out:
         for i, net in enumerate(nets["interior"]):
@@ -213,13 +205,11 @@ def cmd_hr_build(args, t0):
     part = build_partition(snap.grid, snap.nsub_x, snap.nsub_y)
     mats, counts = {}, {}
     for i, sub in enumerate(part.subdomains):
-        rows, basis = hr_sample(snap.residual[i], sub.n_res, args.samples,
-                                args.residual_energy)
+        rows, basis = hr_sample(snap.residual[i], sub.n_res, args.samples)
         mats[f"rows_{i}"] = rows.astype(float)
         mats[f"basis_{i}"] = basis
         counts[f"samples_{i}"] = rows.size
-    _log("hr-build", f"mode={args.mode}, "
-         + ", ".join(f"{k}={v}" for k, v in counts.items()))
+    _log("hr-build", ", ".join(f"{k}={v}" for k, v in counts.items()))
     with _atomic_dir(args.out) as out:
         binio.write_matrices(out / "hr.bin", mats)
         binio.write_meta(out / "meta.txt", _run_meta(args, t0, counts))
@@ -270,8 +260,7 @@ def _build_instance(part, snap, args):
             hr_operator(args.hr, mats[f"rows_{i}"].ravel().astype(np.int64),
                         np.ascontiguousarray(mats[f"basis_{i}"]), sub.n_res)
             for i, sub in enumerate(part.subdomains)])
-    return attach_hr(inst, snap, args.hr, n_samples=args.hr_samples,
-                     energy=args.residual_energy)
+    return attach_hr(inst, snap, args.hr, n_samples=args.hr_samples)
 
 
 def cmd_rom_solve(args, t0):
@@ -314,9 +303,19 @@ def cmd_rom_solve(args, t0):
 # ------------------------------------------------------------- plan files
 
 
+PLAN_KEYS = {
+    "problem": {"nx", "ny", "nu", "subdomains", "train_grid", "a_range",
+                "lam_range"},
+    "eval": {"params", "tol", "max_iter"},
+    "instance": {"rom", "constraint", "n_int", "n_gam", "n_c", "wfpc_seed",
+                 "epochs", "seed", "hr", "hr_samples"},
+}
+
+
 def _read_plan(path):
     """Sectioned key-value file: ``[problem]``, ``[eval]``, and one
-    ``[instance NAME]`` per sweep cell."""
+    ``[instance NAME]`` per sweep cell, each with ``PLAN_KEYS`` of its
+    kind; an unknown section or key is a ``ValueError`` naming it."""
     sections = {"instances": {}}
     current = None
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
@@ -325,17 +324,24 @@ def _read_plan(path):
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
-            if name.startswith("instance"):
-                label = name.split(None, 1)[1].strip()
-                current = sections["instances"].setdefault(label, {})
+            kind, _, label = name.partition(" ")
+            if kind == "instance" and label.strip():
+                current = sections["instances"].setdefault(label.strip(), {})
+            elif name in ("problem", "eval"):
+                kind, current = name, sections.setdefault(name, {})
             else:
-                current = sections.setdefault(name, {})
+                raise ValueError(f"{path}:{lineno}: unknown section "
+                                 f"[{name}]")
             continue
         if current is None or "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value' "
                              "inside a [section]")
         k, v = (t.strip() for t in line.split("=", 1))
-        current[k.replace("-", "_")] = _coerce(v)
+        k = k.replace("-", "_")
+        if k not in PLAN_KEYS[kind]:
+            raise ValueError(f"{path}:{lineno}: unknown key {k!r} in "
+                             f"[{name}]")
+        current[k] = _coerce(v)
     if "problem" not in sections:
         raise ValueError(f"{path}: missing [problem] section")
     if not sections["instances"]:
@@ -372,9 +378,6 @@ def _plan_instance(part, snap, spec):
     elif rom == "nmrom":
         inst = build_nmrom(
             part, snap, **common,
-            band=int(spec.get("band", 5)), shift=int(spec.get("shift", 5)),
-            port_band=int(spec.get("port_band", 3)),
-            port_shift=int(spec.get("port_shift", 3)),
             train_cfg=TrainConfig(epochs=int(spec.get("epochs", 2000)),
                                   seed=int(spec.get("seed", 0))))
     else:
@@ -382,8 +385,7 @@ def _plan_instance(part, snap, spec):
     hr = spec.get("hr", "none")
     if hr != "none":
         inst = attach_hr(inst, snap, hr,
-                         n_samples=int(spec.get("hr_samples", 100)),
-                         energy=float(spec.get("residual_energy", 1e-10)))
+                         n_samples=int(spec.get("hr_samples", 100)))
     return fit_initializer(inst, snap)
 
 
@@ -491,9 +493,6 @@ def _build_parser(defaults: dict | None = None):
     sp.add_argument("--subdomains", default="2x2", metavar="NXxNY")
     sp.add_argument("--a-range", default="1:10000", metavar="LO:HI")
     sp.add_argument("--lam-range", default="5:25", metavar="LO:HI")
-    sp.add_argument("--seed", type=int, default=0,
-                    help="recorded for provenance; snapshot generation "
-                         "itself is deterministic")
 
     sp = sub("train-pod", cmd_train_pod, ["snapshots", "out"],
              help="POD bases for interior/interface (and optionally port) "
@@ -503,32 +502,23 @@ def _build_parser(defaults: dict | None = None):
     sp.add_argument("--ni-gamma", type=int, default=4)
     sp.add_argument("--port-n", type=int, default=None,
                     help="also build per-port bases of this size (srpc)")
-    sp.add_argument("--energy", type=float, default=None,
-                    help="energy criterion overriding the fixed sizes")
 
     sp = sub("train-ae", cmd_train_ae, ["snapshots", "out"],
              help="train sparse autoencoders for the NM-ROM")
     sp.add_argument("--snapshots", metavar="DIR")
     sp.add_argument("--ni-omega", type=int, default=8)
     sp.add_argument("--ni-gamma", type=int, default=4)
-    sp.add_argument("--band", type=int, default=5)
-    sp.add_argument("--shift", type=int, default=5)
     sp.add_argument("--epochs", type=int, default=2000)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--constraint", choices=["wfpc", "srpc"],
                     default="wfpc")
     sp.add_argument("--port-n", type=int, default=None,
                     help="port latent size for srpc (default --ni-gamma)")
-    sp.add_argument("--port-band", type=int, default=3)
-    sp.add_argument("--port-shift", type=int, default=3)
 
     sp = sub("hr-build", cmd_hr_build, ["snapshots", "out"],
              help="residual POD bases plus greedy sample rows")
     sp.add_argument("--snapshots", metavar="DIR")
-    sp.add_argument("--mode", choices=["collocation", "gappy"],
-                    default="collocation")
     sp.add_argument("--samples", type=int, default=100)
-    sp.add_argument("--residual-energy", type=float, default=1e-10)
 
     sp = sub("rom-solve", cmd_rom_solve,
              ["snapshots", "maps", "a", "lam", "out"],
@@ -546,7 +536,6 @@ def _build_parser(defaults: dict | None = None):
                     help="hr-build output; omitted = rebuild from "
                          "snapshots")
     sp.add_argument("--hr-samples", type=int, default=100)
-    sp.add_argument("--residual-energy", type=float, default=1e-10)
     sp.add_argument("--nc", type=int, default=None,
                     help="wfpc constraint count (default 2x the srpc "
                          "equivalent, capped at the FOM count)")
@@ -580,10 +569,16 @@ def _build_parser(defaults: dict | None = None):
     sp.add_argument("--lambda", dest="lam", type=float, default=None)
 
     if defaults:
+        known = set()
         for action in subs.choices.values():
             valid = {a.dest for a in action._actions}
             action.set_defaults(**{k: v for k, v in defaults.items()
                                    if k in valid})
+            known |= valid
+        unknown = sorted(set(defaults) - known)
+        if unknown:
+            parser.error("--config: no subcommand takes "
+                         + ", ".join(unknown))
     return parser
 
 

@@ -42,6 +42,9 @@ from .sqp import SqpBlock, SqpConfig, SqpEval, SqpProblem, SqpResult, \
     eval_gradients, is_square, iterate
 
 BOUND_REL_SCALE = 0.05  # verify_bounds' latent perturbation, relative
+MASK = (5, 5)         # (band, shift) of the Swish interior/interface nets
+PORT_MASK = (3, 3)    # (band, shift) of the Sigmoid port nets
+HR_ENERGY = 1e-10     # discarded-energy tolerance of the residual POD basis
 
 
 def port_latent_dims(port_table, n_request: int) -> dict:
@@ -256,60 +259,55 @@ def build_lsrom(partition: Partition, snap, n_int: int, n_gam: int,
 
 
 def train_nets(partition: Partition, snap, n_int: int, n_gam: int,
-               constraint: str = "wfpc", *, band: int = 5, shift: int = 5,
-               port_band: int = 3, port_shift: int = 3,
+               constraint: str = "wfpc", *,
                train_cfg: TrainConfig = TrainConfig()):
     """Train the decoder nets for one NM-ROM configuration.
 
     Returns ``{"interior": [net, ...], "interface": [net, ...]}`` for
-    wfpc and ``{"interior": ..., "port": {j: net}}`` for srpc.  Swish
-    interior/interface nets, Sigmoid port nets; each net's seed derives
+    wfpc and ``{"interior": ..., "port": {j: net}}`` for srpc: Swish nets
+    masked by ``MASK``, Sigmoid port nets by ``PORT_MASK``, each seeded
     deterministically from ``train_cfg.seed``.
     """
     nsub = len(partition.subdomains)
 
-    def fit(X, n, tag, offset, b, s):
+    def fit(X, n, tag, offset, mask):
         cfg = replace(train_cfg, seed=train_cfg.seed + offset)
         n_eff = max(1, min(n, X.shape[0] - 1))
-        ae, _ = train(X, build_mask(X.shape[0], b, s), n_eff, cfg,
+        ae, _ = train(X, build_mask(X.shape[0], *mask), n_eff, cfg,
                       activation=tag)
         return ae
 
     nets = {"interior": [fit(snap.interior[i], n_int, "swish", 100 + i,
-                             band, shift) for i in range(nsub)]}
+                             MASK) for i in range(nsub)]}
     if constraint == "wfpc":
         nets["interface"] = [fit(snap.interface[i], n_gam, "swish",
-                                 200 + i, band, shift)
-                             for i in range(nsub)]
+                                 200 + i, MASK) for i in range(nsub)]
     else:
         dims = port_latent_dims(partition.ports, n_gam)
         nets["port"] = {j: fit(snap.port[j], dims[j], "sigmoid", 300 + j,
-                               port_band, port_shift) for j in dims}
+                               PORT_MASK) for j in dims}
     return nets
 
 
 def build_nmrom(partition: Partition, snap, n_int: int, n_gam: int,
-                constraint: str = "wfpc", *, band: int = 5, shift: int = 5,
-                port_band: int = 3, port_shift: int = 3,
+                constraint: str = "wfpc", *,
                 train_cfg: TrainConfig = TrainConfig(),
                 wfpc_seed: int = 0, n_c: int | None = None) -> RomInstance:
-    """Autoencoder ROM: Swish interior (and wfpc interface) nets, Sigmoid
-    port nets assembled into srpc interface decoders."""
+    """Autoencoder ROM: the ``train_nets`` nets, with srpc port nets
+    assembled into interface decoders, coupled by ``instance_from_maps``."""
     nets = train_nets(partition, snap, n_int, n_gam, constraint,
-                      band=band, shift=shift, port_band=port_band,
-                      port_shift=port_shift, train_cfg=train_cfg)
+                      train_cfg=train_cfg)
     prov = {"rom": "nmrom", "constraint": constraint, "hr": "none",
             "n_int": n_int, "n_gam": n_gam, "seed": train_cfg.seed}
     return instance_from_maps(partition, nets, prov, n_gam=n_gam, n_c=n_c,
                               wfpc_seed=wfpc_seed)
 
 
-def hr_sample(residual_snapshots: np.ndarray, n_res: int, n_samples: int,
-              energy: float):
-    """Residual POD basis at energy ``energy`` and its greedy sample rows:
-    ``n_samples`` of them, at least one per basis column, at most
-    ``n_res``.  Returns ``(rows, basis)``."""
-    basis = pod(residual_snapshots, tol=energy).Phi
+def hr_sample(residual_snapshots: np.ndarray, n_res: int, n_samples: int):
+    """Residual POD basis at discarded-energy tolerance ``HR_ENERGY`` and
+    its greedy sample rows: ``n_samples`` of them, at least one per basis
+    column, at most ``n_res``.  Returns ``(rows, basis)``."""
+    basis = pod(residual_snapshots, tol=HR_ENERGY).Phi
     ns = min(max(n_samples, basis.shape[1]), n_res)
     return greedy_sample(basis, ns), basis
 
@@ -324,15 +322,14 @@ def hr_operator(mode: str, rows, basis: np.ndarray, n_res: int):
 
 
 def attach_hr(instance: RomInstance, snap, mode: str,
-              n_samples: int = 100, energy: float = 1e-10) -> RomInstance:
+              n_samples: int = 100) -> RomInstance:
     """Return a copy of ``instance`` with per-subdomain HR operators built
-    from residual snapshots (POD residual basis + greedy row sampling)."""
+    from residual snapshots by ``hr_sample`` and ``hr_operator``."""
     if mode not in ("collocation", "gappy"):
         raise ValueError("hr mode must be collocation or gappy")
     ops = []
     for i, sub in enumerate(instance.partition.subdomains):
-        rows, basis = hr_sample(snap.residual[i], sub.n_res, n_samples,
-                                energy)
+        rows, basis = hr_sample(snap.residual[i], sub.n_res, n_samples)
         ops.append(hr_operator(mode, rows, basis, sub.n_res))
     return replace(instance, hr=ops,
                    provenance={**instance.provenance, "hr": mode,
@@ -393,14 +390,16 @@ def _blockdiag(J_int, J_gam):
 def _block_structure(instance: RomInstance, i: int, ops: FomOperators):
     """Everything subdomain ``i``'s residual and constraint need that does
     not depend on the parameter:
-    ``(hr, restricted, sub_int, gam, coupling, terms)``.
+    ``(hr, restricted, sub_int, gam, coupling, C, terms)``.
 
     ``gam`` is the interface outputs the residual reads off the full
     decode (WFPC) or the interface map restricted to them (SRPC);
     ``coupling`` is the instance's block, CSR only for the decomposed FOM.
-    When both maps are linear, ``M = blockdiag(J_int, J_gam)`` is constant
-    and ``terms`` is ``restricted.product_terms(M)``, computed once here;
-    it is ``None`` when a map is nonlinear and ``M`` changes per call.
+    The constraint Jacobian ``C`` is ``coupling`` under SRPC and ``coupling
+    @ Phi`` for a linear WFPC interface map.  When both maps are linear,
+    ``M = blockdiag(J_int, J_gam)`` is constant and ``terms`` is
+    ``restricted.product_terms(M)``.  ``C`` and ``terms`` are ``None``
+    when they change per call, with a nonlinear map.
     """
     part = instance.partition
     sub = part.subdomains[i]
@@ -410,20 +409,22 @@ def _block_structure(instance: RomInstance, i: int, ops: FomOperators):
         ops, sub.res_rows[hr.rows],
         np.concatenate([sub.interior_cols[io], sub.interface_cols[gio]]))
     sub_int = _restrict_map(instance.interior_maps[i], io)
+    coupling = instance.coupling[i]
     if instance.constraint_mode == "wfpc":
         # the constraint needs every interface trace entry, so the residual
         # reads its rows off the same full decode
         gam = gio
-        J_gam = _linear_jacobian(instance.interface_maps[i])
-        J_gam = J_gam[gio] if J_gam is not None else None
+        Phi = _linear_jacobian(instance.interface_maps[i])
+        C, J_gam = (None, None) if Phi is None else (coupling @ Phi, Phi[gio])
     else:
         gam = _restrict_map(instance.interface_maps[i], gio)
         J_gam = _linear_jacobian(gam)
+        C = coupling
     J_int = _linear_jacobian(sub_int)
     terms = None
     if J_int is not None and J_gam is not None:
         terms = restricted.product_terms(_blockdiag(J_int, J_gam))
-    return hr, restricted, sub_int, gam, instance.coupling[i], terms
+    return hr, restricted, sub_int, gam, coupling, C, terms
 
 
 def build_problem(instance: RomInstance, ops: FomOperators) -> SqpProblem:
@@ -447,20 +448,20 @@ def build_problem(instance: RomInstance, ops: FomOperators) -> SqpProblem:
                                for i in range(part.n_sub)]
     wfpc = instance.constraint_mode == "wfpc"
     blocks = []
-    for i, (hr, restricted, sub_int, gam, coupling,
+    for i, (hr, restricted, sub_int, gam, coupling, C,
             terms) in enumerate(instance._structure):
         gam_map = instance.interface_maps[i]
 
         def evaluate(xi, xg, hr=hr, restricted=restricted.at(ops),
-                     sub_int=sub_int, gam=gam, coupling=coupling,
+                     sub_int=sub_int, gam=gam, coupling=coupling, C=C,
                      gam_map=gam_map, terms=terms):
             if wfpc:
                 g, J = gam_map.decode_and_jacobian(xg)
                 v_gam = g[gam]
-                c, C = coupling @ g, coupling @ J
+                c, C = coupling @ g, coupling @ J if C is None else C
             else:
                 v_gam, J = gam.decode_and_jacobian(xg)
-                c, C = coupling @ xg, coupling
+                c = coupling @ xg
             v_int, J_int = sub_int.decode_and_jacobian(xi)
             v = np.concatenate([v_int, v_gam])
             if terms is None:
@@ -800,8 +801,7 @@ def benchmark_sweep(instances: dict, params, out_dir,
                 status="absent"))
             continue
         for p in params:
-            key = (p.a, p.lam, instance.partition.grid.nx,
-                   instance.partition.grid.ny)
+            key = (p, instance.partition.grid)
             if key not in fom_cache:
                 t0 = time.perf_counter()
                 state, _ = solve_monolithic(instance.partition.grid, p)

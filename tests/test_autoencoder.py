@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from ddrom import autoencoder
 from ddrom.autoencoder import (
@@ -108,6 +109,15 @@ def test_activation_derivative_matches_fd(tag):
     h = 1e-6
     fd = (_act(tag, z + h) - _act(tag, z - h)) / (2 * h)
     assert np.allclose(_act_deriv(tag, z), fd, atol=1e-8)
+
+
+@pytest.mark.parametrize("tag", ["swish", "sigmoid"])
+def test_activation_derivative_reuses_expit_bitwise(tag):
+    # train's backward pass hands in the forward pass's expit(z)
+    z = np.random.default_rng(0).standard_normal((7, 5)) * 6
+    np.testing.assert_array_equal(_act_deriv(tag, z, expit(z)),
+                                  _act_deriv(tag, z))
+    np.testing.assert_array_equal(_act(tag, z, expit(z)), _act(tag, z))
 
 
 # -- forward evaluation --------------------------------------------------

@@ -1,8 +1,11 @@
 """Subcommand dispatch, artifact layout, exit codes, and reproducibility."""
 
 import csv
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ import pytest
 from ddrom import binio
 from ddrom.autoencoder import TrainConfig
 from ddrom.burgers import Grid2D, ParameterPoint, solve_monolithic
-from ddrom.cli import dispatch
+from ddrom.cli import _build_parser, dispatch
 from ddrom.driver import build_lsrom, build_nmrom, fit_initializer, solve_rom
 from ddrom.partition import build_partition
 from ddrom.snapshots import load
@@ -34,8 +37,7 @@ def pipeline(tmp_path_factory):
     assert run("train-ae", "--snapshots", root / "snaps",
                "--ni-omega", 4, "--ni-gamma", 3, "--epochs", 40,
                "--seed", 1, "--out", root / "ae") == 0
-    assert run("hr-build", "--snapshots", root / "snaps",
-               "--mode", "collocation", "--samples", 50,
+    assert run("hr-build", "--snapshots", root / "snaps", "--samples", 50,
                "--out", root / "hr") == 0
     return root
 
@@ -60,6 +62,50 @@ def test_usage_errors_exit_two(capsys):
     assert run("fom-solve", "--nx", 8) == 2
     err = capsys.readouterr().err
     assert "missing required" in err and "--lambda" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("snapshots", "--seed", 0),
+    ("train-pod", "--energy", 1e-4),
+    ("train-ae", "--band", 5), ("train-ae", "--shift", 5),
+    ("train-ae", "--port-band", 3), ("train-ae", "--port-shift", 3),
+    ("hr-build", "--mode", "collocation"),
+    ("hr-build", "--residual-energy", 1e-10),
+    ("rom-solve", "--residual-energy", 1e-10)])
+def test_removed_flags_are_usage_errors(argv, tmp_path, capsys):
+    # the mask geometry and the HR residual energy are driver constants;
+    # snapshots --seed and hr-build --mode changed nothing
+    assert run(*argv, "--out", tmp_path / "x") == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "fs.cfg"
+    cfg.write_text("nx = 16\nny = 4\na = 400\nlambda = 12\nband = 7\n")
+    assert run("fom-solve", "--config", cfg, "--out", tmp_path / "a") == 2
+    assert "band" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists()
+
+
+def readme_commands():
+    """Every ``ddrom`` command of the README's ``sh`` blocks, with
+    backslash continuations joined, split into argv."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cmds = []
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        cmds += [shlex.split(line)[1:]
+                 for line in block.replace("\\\n", " ").splitlines()
+                 if line.startswith("ddrom ")]
+    return cmds
+
+
+def test_readme_commands_parse():
+    cmds = readme_commands()
+    assert len(cmds) >= 8
+    for argv in cmds:
+        args = _build_parser().parse_args(argv)
+        assert args.command == argv[0]
 
 
 def test_runtime_failure_exits_one_no_partial_dir(tmp_path, capsys):
@@ -279,6 +325,22 @@ def test_bad_plan_reports_usefully(tmp_path, capsys):
     assert run("benchmark", "--plan", plan,
                "--out", tmp_path / "x") == 1
     assert "section" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new, named", [
+    ("n_c = 4\n", "n_c = 4\nband = 7\n", ("'band'", "[instance ls-base]")),
+    ("nx = 20\n", "nxx = 20\nnx = 20\n", ("'nxx'", "[problem]")),
+    ("[eval]", "[evaluate]", ("[evaluate]",))])
+def test_plan_unknown_key_or_section_exits_one(tmp_path, capsys, old, new,
+                                               named):
+    plan = tmp_path / "plan.txt"
+    plan.write_text(PLAN.replace(old, new, 1))
+    for cmd in ("benchmark", "verify-bounds"):
+        assert run(cmd, "--plan", plan, "--out", tmp_path / cmd) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError")
+        assert all(s in err for s in named)
+        assert not (tmp_path / cmd).exists()
 
 
 # ------------------------------------------------------- console script

@@ -852,6 +852,29 @@ def test_constant_map_products_match_per_call_path(desk, ls_wfpc,
             np.testing.assert_array_equal(C, C_ref)
 
 
+@pytest.mark.parametrize("name", ["ls-wfpc", "ls-srpc", "dd-fom",
+                                  "nm-wfpc"])
+def test_linear_blocks_form_the_coupling_jacobian_once(desk, name,
+                                                       request):
+    # a linear block returns one C, coupling @ Phi (WFPC) or the coupling
+    # block itself (SRPC), at every point; a nonlinear one forms C per call
+    grid, _, snap = desk
+    inst = replace(instance_named(name, request))
+    prob = build_problem(inst, assemble(grid, snap.params[7]))
+    x = perturbed_latent(inst, snap, 7)
+    points = [prob.split(x), prob.split(np.zeros(x.size))]
+    for i, (blk, g, coupling) in enumerate(zip(
+            prob.blocks, inst.interface_maps, inst.coupling)):
+        C1, C2 = (blk.evaluate(*pts[i])[3] for pts in points)
+        if name == "nm-wfpc":
+            assert inst._structure[i][-2] is None
+            assert not np.array_equal(C1, C2)
+            continue
+        assert C1 is C2
+        ref = coupling if name == "ls-srpc" else coupling @ g.Phi
+        np.testing.assert_array_equal(dense(C1), dense(ref))
+
+
 @pytest.fixture(scope="module")
 def ls_2x2():
     grid = Grid2D(24, 8)
@@ -1004,6 +1027,24 @@ def test_benchmark_sweep_schema_and_determinism(desk, ls_wfpc, ls_srpc,
     by_label = {r[0]: r for r in prow[1:]}
     assert by_label["gone"][-1] == "0"
     assert float(by_label["ls-wfpc"][4]) > 0
+
+
+def test_benchmark_sweep_fom_reference_follows_viscosity(tmp_path):
+    # two grids that differ only in nu: each record's error is the one of
+    # its own solve, not of a FOM reference cached for the other grid
+    params = sample_grid(4, 3, a_range=(100.0, 5000.0),
+                         lam_range=(8.0, 20.0))
+    instances, own = {}, {}
+    p = ParameterPoint(2000.0, 14.0)
+    for nu in (0.1, 0.2):
+        part = build_partition(Grid2D(16, 4, nu), 2, 1)
+        snap = generate(part.grid, params, part)
+        inst = fit_initializer(build_lsrom(part, snap, 6, 4, n_c=4), snap)
+        instances[f"nu={nu}"] = inst
+        own[f"nu={nu}"] = solve_rom(inst, p, SqpConfig(tol=1e-6))[1].error
+    recs = benchmark_sweep(instances, [p], tmp_path, SqpConfig(tol=1e-6))
+    assert own["nu=0.1"] != own["nu=0.2"]
+    assert {r.label: r.error for r in recs} == own
 
 
 def test_solve_failure_reported_not_raised(desk, ls_wfpc):

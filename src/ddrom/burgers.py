@@ -13,13 +13,14 @@ The discrete residual for the ``u`` block is
 
 with central first differences ``Bx, By``, the scaled 5-point Laplacian
 ``Cdiff``, and boundary vectors built from the exact solution on ghost
-points; the ``v`` block is analogous.  The analytic Jacobian is assembled
-exactly (Hadamard products contribute diagonal cross-coupling between the
-``u`` and ``v`` blocks).
+points; the ``v`` block is analogous.  :class:`RestrictedResidual`
+evaluates it and its exact Jacobian (Hadamard products couple the ``u``
+and ``v`` blocks on the diagonal) on a subdomain's rows or the whole grid.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import warnings
 from dataclasses import dataclass, field
@@ -135,14 +136,6 @@ def exact_state(grid: Grid2D, p: ParameterPoint) -> np.ndarray:
     return np.concatenate([u.ravel(), v.ravel()])
 
 
-def split_uv(grid: Grid2D, s: np.ndarray):
-    """View a state vector as its ``(u, v)`` halves."""
-    n = grid.nnode
-    if s.shape != (2 * n,):
-        raise ValueError(f"state must have shape ({2 * n},), got {s.shape}")
-    return s[:n], s[n:]
-
-
 @dataclass(frozen=True, eq=False)
 class FomOperators:
     """Immutable discrete operators and boundary vectors for one ``(grid, p)``."""
@@ -158,6 +151,10 @@ class FomOperators:
     bvx: np.ndarray = field(repr=False)
     bvy: np.ndarray = field(repr=False)
     cv: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def _kernel(self) -> "RestrictedResidual":
+        return _fom_kernel(self.grid).at(self)
 
 
 def _first_difference(n: int) -> sp.csr_matrix:
@@ -226,28 +223,33 @@ def assemble(grid: Grid2D, p: ParameterPoint) -> FomOperators:
                         bux=bux, buy=buy, cu=cu, bvx=bvx, bvy=bvy, cv=cv)
 
 
+@functools.lru_cache(maxsize=8)
+def _fom_kernel(grid: Grid2D) -> "RestrictedResidual":
+    """Every row of ``grid`` on every column, with identity product terms,
+    built once per grid; each :class:`FomOperators` rebinds a copy."""
+    every = np.arange(grid.ndof)
+    kernel = RestrictedResidual(
+        assemble(grid, ParameterPoint(A_RANGE[0], LAM_RANGE[0])), every, every)
+    kernel._identity_terms  # built before any copy, so the copies share them
+    return kernel
+
+
 def residual(ops: FomOperators, s: np.ndarray) -> np.ndarray:
-    """Discrete residual ``(r_u; r_v)`` at state ``s``."""
-    u, v = split_uv(ops.grid, s)
-    ru = (u * (ops.Bx @ u - ops.bux) + v * (ops.By @ u - ops.buy)
-          + ops.Cdiff @ u + ops.cu)
-    rv = (u * (ops.Bx @ v - ops.bvx) + v * (ops.By @ v - ops.bvy)
-          + ops.Cdiff @ v + ops.cv)
-    return np.concatenate([ru, rv])
+    """Discrete residual at ``s``: :class:`RestrictedResidual`, every row."""
+    return ops._kernel._residual(s)[0]
 
 
 def jacobian(ops: FomOperators, s: np.ndarray) -> sp.csr_matrix:
-    """Analytic Jacobian of :func:`residual` at ``s`` (sparse)."""
-    u, v = split_uv(ops.grid, s)
-    Du = sp.diags(u)
-    Dv = sp.diags(v)
-    Juu = (sp.diags(ops.Bx @ u - ops.bux) + Du @ ops.Bx + Dv @ ops.By
-           + ops.Cdiff)
-    Juv = sp.diags(ops.By @ u - ops.buy)
-    Jvu = sp.diags(ops.Bx @ v - ops.bvx)
-    Jvv = (Du @ ops.Bx + sp.diags(ops.By @ v - ops.bvy) + Dv @ ops.By
-           + ops.Cdiff)
-    return sp.bmat([[Juu, Juv], [Jvu, Jvv]], format="csr")
+    """Analytic Jacobian of :func:`residual` at ``s`` (CSR): the kernel on
+    every row with identity terms, its fixed pattern copied and exact zeros
+    dropped.  Pattern and values are then bitwise those of the zero-free
+    sparse sum of the formula's ``diag``, ``D Bx`` and ``Cdiff`` terms; the
+    zero state's explicit zeros would change SuperLU's column ordering."""
+    kernel = ops._kernel
+    J = kernel._product(*kernel._residual(s)[1:],
+                        kernel._identity_terms).copy()
+    J.eliminate_zeros()
+    return J
 
 
 def structural_pattern(grid: Grid2D) -> sp.csr_matrix:
@@ -276,6 +278,171 @@ def structural_pattern(grid: Grid2D) -> sp.csr_matrix:
     return pat.astype(bool)
 
 
+class RestrictedResidual:
+    """Evaluates selected Burgers residual rows from a local column vector.
+
+    ``rows`` are global residual row indices; ``cols`` are global state
+    columns in the caller's chosen order (the local vector is indexed the
+    same way).  Every column structurally referenced by the rows must be
+    present.  Evaluation touches only the selected rows -- the instance
+    counts evaluated rows so hyper-reduction tests can assert nothing else
+    was computed.
+
+    Construction does the symbolic work once: the row-restricted
+    operators, which depend only on the grid.  :meth:`at` rebinds the
+    parameter-dependent boundary data and shares everything else.
+    """
+
+    def __init__(self, ops: FomOperators, rows, cols):
+        n = ops.grid.nnode
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        self.grid = ops.grid
+        self.rows = rows
+        self.cols = cols
+        self.n_rows = m = rows.size
+        self.n_cols = cols.size
+
+        lookup = np.full(2 * n, -1, dtype=np.int64)
+        lookup[cols] = np.arange(cols.size)
+
+        # row k is the u (v) equation at node rows[k] % n: its operators
+        # act on the u (v) columns, and its Hadamard factors u, v live on
+        # the same node
+        node = rows % n
+        shift = rows - node
+
+        def remap(mat):
+            sub = mat[node, :].tocoo()
+            local = lookup[sub.col + shift[sub.row]]
+            if np.any(local < 0):
+                raise ValueError("restricted rows reference columns outside "
+                                 "the provided column set")
+            return sp.csr_matrix((sub.data, (sub.row, local)),
+                                 shape=(m, cols.size))
+
+        def gather_idx(offset):
+            local = lookup[node + offset]
+            if np.any(local < 0):
+                raise ValueError("diagonal coupling column missing from the "
+                                 "provided column set")
+            return local
+
+        # S = [Bx; By; Cdiff] on the selected rows (its first 2m rows are
+        # D = [Bx; By]), and each row's own-node u and v columns (the
+        # Hadamard factors)
+        self._S = sp.vstack([remap(ops.Bx), remap(ops.By), remap(ops.Cdiff)],
+                            format="csr")
+        self._g = np.concatenate([gather_idx(0), gather_idx(n)])
+        self._bind(ops)
+
+    def _bind(self, ops: FomOperators):
+        """Gather the boundary vectors of ``ops`` onto the selected rows."""
+        def on_rows(u_vec, v_vec):
+            return np.concatenate([u_vec, v_vec])[self.rows]
+
+        self._b = np.concatenate([on_rows(ops.bux, ops.bvx),
+                                  on_rows(ops.buy, ops.bvy)])
+        self._c = on_rows(ops.cu, ops.cv)
+        self.rows_evaluated = 0
+
+    def at(self, ops: FomOperators) -> "RestrictedResidual":
+        """This evaluator with the boundary data of ``ops`` and a fresh row
+        count; the symbolic structure is shared, not rebuilt."""
+        if ops.grid != self.grid:
+            raise ValueError("operators were assembled on another grid")
+        new = copy.copy(self)
+        new._bind(ops)
+        return new
+
+    def _residual(self, x):
+        """``(r, d, xg)``: the residual, ``d = D x - [bx; by]`` and the
+        own-node u and v entries ``xg`` of ``x``."""
+        if x.shape != (self.n_cols,):
+            raise ValueError("local state has wrong length")
+        m = self.n_rows
+        s = self._S @ x
+        d, xg = s[:2 * m] - self._b, x[self._g]
+        return xg[:m] * d[:m] + xg[m:] * d[m:] + s[2 * m:] + self._c, d, xg
+
+    def residual(self, x: np.ndarray) -> np.ndarray:
+        self.rows_evaluated += self.n_rows
+        return self._residual(x)[0]
+
+    def jacobian(self, x: np.ndarray) -> sp.csr_matrix:
+        """The residual Jacobian: :meth:`residual_and_product`'s kernel
+        with ``M`` the identity."""
+        return self._product(*self._residual(x)[1:], self._identity_terms)
+
+    @functools.cached_property
+    def _identity_terms(self):
+        """:meth:`product_terms` of the identity, built at first use."""
+        return self.product_terms(sp.identity(self.n_cols, format="csr"))
+
+    def product_terms(self, M):
+        """The parts of ``jacobian(x) @ M`` that do not depend on ``x``, to
+        pass to :meth:`residual_and_product` (once per ``M`` when it is
+        constant): the five terms ``M[g_u], Bx M, By M, M[g_v], Cdiff M``.
+
+        For a dense ``M`` they are dense rows.  For a sparse ``M`` they are
+        value rows over the union of their sparsity patterns (row-major,
+        sorted columns), so the product is CSR with that pattern at every
+        ``x``.
+        """
+        if not sp.issparse(M):
+            M = np.asarray(M, dtype=float)
+        if M.ndim != 2 or M.shape[0] != self.n_cols:
+            raise ValueError("M must have one row per local column")
+        m = self.n_rows
+        SM, MG = self._S @ M, M[self._g]
+        terms = (MG[:m], SM[:m], SM[m:2 * m], MG[m:], SM[2 * m:])
+        if not sp.issparse(M):
+            return terms, np.s_[:, None], None
+        k = np.int64(M.shape[1])
+        coo = [t.tocoo() for t in terms]
+        keys = np.unique(np.concatenate([t.row * k + t.col for t in coo]))
+        values = np.zeros((5, keys.size))
+        for v, t in zip(values, coo):
+            v[np.searchsorted(keys, t.row * k + t.col)] = t.data
+        # built through the constructor once, so the index arrays already
+        # have the dtype scipy picks and the per-call wrap does not convert
+        pattern = sp.csr_matrix(
+            (np.zeros(keys.size), keys % k, np.concatenate(
+                [[0], np.cumsum(np.bincount(keys // k, minlength=m))])),
+            shape=(m, k))
+        # shared by every product: read-only, so an in-place structural
+        # change of one (``eliminate_zeros``) raises, not corrupts the rest
+        for arr in (pattern.indices, pattern.indptr):
+            arr.flags.writeable = False
+        return tuple(values), keys // k, pattern
+
+    def _product(self, d, xg, terms):
+        """``jacobian(x) @ M`` from ``d``, ``xg`` and ``product_terms(M)``:
+        the row-scaled terms summed per entry in the fixed order
+        ``d_u T0 + x_u T1 + x_v T2 + d_v T3 + T4``.  The scales are
+        broadcast over dense rows or gathered by each nonzero's row."""
+        m = self.n_rows
+        (T0, T1, T2, T3, T4), at, pattern = terms
+        JM = d[:m][at] * T0
+        JM += xg[:m][at] * T1
+        JM += xg[m:][at] * T2
+        JM += d[m:][at] * T3
+        JM += T4
+        if pattern is None:
+            return JM
+        return sp.csr_matrix((JM, pattern.indices, pattern.indptr),
+                             shape=pattern.shape)
+
+    def residual_and_product(self, x: np.ndarray, terms):
+        """``(residual(x), jacobian(x) @ M)`` with ``terms =
+        product_terms(M)``: the product is dense for a dense ``M`` and CSR
+        for a sparse one, with no Jacobian formed.  The residual is
+        bitwise :meth:`residual`'s, and the rows are counted once."""
+        self.rows_evaluated += self.n_rows
+        r, d, xg = self._residual(x)
+        return r, self._product(d, xg, terms)
+
+
 @dataclass
 class NewtonTrace:
     """Iteration history of a monolithic Newton solve."""
@@ -295,7 +462,9 @@ def solve_monolithic(grid: Grid2D, p: ParameterPoint, init=None,
                      tol: float = 1e-8, max_iter: int = 25):
     """Damped Newton solve of the full-order model.
 
-    Returns ``(state, NewtonTrace)``.  The trace keeps every iterate and its
+    Each step factors :func:`jacobian` (the subdomain blocks' kernel over
+    every row, exact zeros dropped) with SuperLU.  Returns
+    ``(state, NewtonTrace)``.  The trace keeps every iterate and its
     residual vector so downstream snapshot harvesting can reuse them.
     Raises :class:`ConvergenceError` on stagnation or iteration exhaustion.
     """

@@ -15,13 +15,13 @@ feeds it the 5-point-stencil pattern and the grid-block row ownership.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .burgers import FomOperators, Grid2D, structural_pattern
+from .burgers import Grid2D, structural_pattern
+from .burgers import RestrictedResidual  # noqa: F401 (imported from here too)
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,166 +311,6 @@ def assemble_rom_constraints(pt: PortTable, latent_port_dims) -> ConstraintMatri
 
     mat, blocks = _chain_rows(pt, nsub, sizes, position_of)
     return ConstraintMatrix(matrix=mat, blocks=blocks)
-
-
-class RestrictedResidual:
-    """Evaluates selected Burgers residual rows from a local column vector.
-
-    ``rows`` are global residual row indices; ``cols`` are global state
-    columns in the caller's chosen order (the local vector is indexed the
-    same way).  Every column structurally referenced by the rows must be
-    present.  Evaluation touches only the selected rows -- the instance
-    counts evaluated rows so hyper-reduction tests can assert nothing else
-    was computed.
-
-    Construction does the symbolic work once: the row-restricted
-    operators, which depend only on the grid.  :meth:`at` rebinds the
-    parameter-dependent boundary data and shares everything else.
-    """
-
-    def __init__(self, ops: FomOperators, rows, cols):
-        n = ops.grid.nnode
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        self.grid = ops.grid
-        self.rows = rows
-        self.cols = cols
-        self.n_rows = m = rows.size
-        self.n_cols = cols.size
-
-        lookup = np.full(2 * n, -1, dtype=np.int64)
-        lookup[cols] = np.arange(cols.size)
-
-        # row k is the u (v) equation at node rows[k] % n: its operators
-        # act on the u (v) columns, and its Hadamard factors u, v live on
-        # the same node
-        node = rows % n
-        shift = rows - node
-
-        def remap(mat):
-            sub = mat[node, :].tocoo()
-            local = lookup[sub.col + shift[sub.row]]
-            if np.any(local < 0):
-                raise ValueError("restricted rows reference columns outside "
-                                 "the provided column set")
-            return sp.csr_matrix((sub.data, (sub.row, local)),
-                                 shape=(m, cols.size))
-
-        def gather_idx(offset):
-            local = lookup[node + offset]
-            if np.any(local < 0):
-                raise ValueError("diagonal coupling column missing from the "
-                                 "provided column set")
-            return local
-
-        # S = [Bx; By; Cdiff] on the selected rows (its first 2m rows are
-        # D = [Bx; By]), and each row's own-node u and v columns (the
-        # Hadamard factors)
-        self._S = sp.vstack([remap(ops.Bx), remap(ops.By), remap(ops.Cdiff)],
-                            format="csr")
-        self._g = np.concatenate([gather_idx(0), gather_idx(n)])
-        self._identity_terms = None
-        self._bind(ops)
-
-    def _bind(self, ops: FomOperators):
-        """Gather the boundary vectors of ``ops`` onto the selected rows."""
-        def on_rows(u_vec, v_vec):
-            return np.concatenate([u_vec, v_vec])[self.rows]
-
-        self._b = np.concatenate([on_rows(ops.bux, ops.bvx),
-                                  on_rows(ops.buy, ops.bvy)])
-        self._c = on_rows(ops.cu, ops.cv)
-        self.rows_evaluated = 0
-
-    def at(self, ops: FomOperators) -> "RestrictedResidual":
-        """This evaluator with the boundary data of ``ops`` and a fresh row
-        count; the symbolic structure is shared, not rebuilt."""
-        if ops.grid != self.grid:
-            raise ValueError("operators were assembled on another grid")
-        new = copy.copy(self)
-        new._bind(ops)
-        return new
-
-    def _residual(self, x):
-        """``(r, d, xg)``: the residual, ``d = D x - [bx; by]`` and the
-        own-node u and v entries ``xg`` of ``x``."""
-        if x.shape != (self.n_cols,):
-            raise ValueError("local state has wrong length")
-        m = self.n_rows
-        s = self._S @ x
-        d, xg = s[:2 * m] - self._b, x[self._g]
-        return xg[:m] * d[:m] + xg[m:] * d[m:] + s[2 * m:] + self._c, d, xg
-
-    def residual(self, x: np.ndarray) -> np.ndarray:
-        self.rows_evaluated += self.n_rows
-        return self._residual(x)[0]
-
-    def jacobian(self, x: np.ndarray) -> sp.csr_matrix:
-        """The residual Jacobian: :meth:`residual_and_product`'s kernel
-        with ``M`` the identity, whose terms are built on the first call."""
-        if self._identity_terms is None:
-            self._identity_terms = self.product_terms(
-                sp.identity(self.n_cols, format="csr"))
-        return self._product(*self._residual(x)[1:], self._identity_terms)
-
-    def product_terms(self, M):
-        """The parts of ``jacobian(x) @ M`` that do not depend on ``x``, to
-        pass to :meth:`residual_and_product` (once per ``M`` when it is
-        constant): the five terms ``M[g_u], Bx M, By M, M[g_v], Cdiff M``.
-
-        For a dense ``M`` they are dense rows.  For a sparse ``M`` they are
-        value rows over the union of their sparsity patterns (row-major,
-        sorted columns), so the product is CSR with that pattern at every
-        ``x``.
-        """
-        if not sp.issparse(M):
-            M = np.asarray(M, dtype=float)
-        if M.ndim != 2 or M.shape[0] != self.n_cols:
-            raise ValueError("M must have one row per local column")
-        m = self.n_rows
-        SM, MG = self._S @ M, M[self._g]
-        terms = (MG[:m], SM[:m], SM[m:2 * m], MG[m:], SM[2 * m:])
-        if not sp.issparse(M):
-            return terms, np.s_[:, None], None
-        k = np.int64(M.shape[1])
-        coo = [t.tocoo() for t in terms]
-        keys = np.unique(np.concatenate([t.row * k + t.col for t in coo]))
-        values = np.zeros((5, keys.size))
-        for v, t in zip(values, coo):
-            v[np.searchsorted(keys, t.row * k + t.col)] = t.data
-        # built through the constructor once, so the index arrays already
-        # have the dtype scipy picks and the per-call wrap does not convert
-        pattern = sp.csr_matrix(
-            (np.zeros(keys.size), keys % k, np.concatenate(
-                [[0], np.cumsum(np.bincount(keys // k, minlength=m))])),
-            shape=(m, k))
-        return tuple(values), keys // k, pattern
-
-    def _product(self, d, xg, terms):
-        """``jacobian(x) @ M`` from ``d``, ``xg`` and ``product_terms(M)``:
-        the row-scaled terms summed per entry in the fixed order
-        ``d_u T0 + x_u T1 + x_v T2 + d_v T3 + T4``.  The scales are
-        broadcast over dense rows or gathered by each nonzero's row."""
-        m = self.n_rows
-        (T0, T1, T2, T3, T4), at, pattern = terms
-        JM = d[:m][at] * T0
-        JM += xg[:m][at] * T1
-        JM += xg[m:][at] * T2
-        JM += d[m:][at] * T3
-        JM += T4
-        if pattern is None:
-            return JM
-        return sp.csr_matrix((JM, pattern.indices, pattern.indptr),
-                             shape=pattern.shape)
-
-    def residual_and_product(self, x: np.ndarray, terms):
-        """``(residual(x), jacobian(x) @ M)`` with ``terms =
-        product_terms(M)``: the product is dense for a dense ``M`` and CSR
-        for a sparse one, with no Jacobian formed.  The residual is
-        bitwise :meth:`residual`'s, and the rows are counted once."""
-        self.rows_evaluated += self.n_rows
-        r, d, xg = self._residual(x)
-        return r, self._product(d, xg, terms)
 
 
 def build_partition(grid: Grid2D, nsub_x: int, nsub_y: int) -> Partition:

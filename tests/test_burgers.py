@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from ddrom import burgers
 from ddrom.burgers import (
     Grid2D,
     ParameterPoint,
@@ -16,6 +17,8 @@ from ddrom.burgers import (
     structural_pattern,
 )
 from ddrom.errors import ConvergenceError, SingularityError
+
+from fom_reference import reference_jacobian, reference_residual
 
 
 # ---------------------------------------------------------------- exact solution
@@ -252,6 +255,41 @@ def test_jacobian_pattern_within_structural_pattern():
     assert outside.max() <= 0
 
 
+@pytest.mark.parametrize("nx,ny", [(24, 6), (60, 8), (120, 12)])
+def test_residual_and_jacobian_bitwise_equal_sparse_formula(nx, ny):
+    # the kernel's Jacobian, exact zeros dropped, has the pattern and the
+    # values of the zero-free sparse sum, so SuperLU factors the same matrix
+    g = Grid2D(nx=nx, ny=ny)
+    p = ParameterPoint(4321.0, 17.5)
+    ops = assemble(g, p)
+    converged, trace = solve_monolithic(g, p)
+    assert trace.converged
+    random = np.random.default_rng(nx).normal(size=g.ndof)
+    for s in (np.zeros(g.ndof), random, converged):
+        J, J_ref = jacobian(ops, s), reference_jacobian(ops, s)
+        assert isinstance(J, sp.csr_matrix) and J.shape == J_ref.shape
+        for got, want in ((J.indptr, J_ref.indptr),
+                          (J.indices, J_ref.indices),
+                          (J.data, J_ref.data),
+                          (residual(ops, s), reference_residual(ops, s))):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        # the caller owns the matrix: changing it changes no later one
+        J.data[:] = 0.0
+        J.eliminate_zeros()
+        assert jacobian(ops, s).data.tobytes() == J_ref.data.tobytes()
+
+
+def test_residual_rejects_wrong_length():
+    g = Grid2D(nx=5, ny=3)
+    ops = assemble(g, ParameterPoint(100.0, 7.0))
+    for bad in (np.zeros(g.ndof - 1), np.zeros((g.ndof, 1))):
+        with pytest.raises(ValueError):
+            residual(ops, bad)
+        with pytest.raises(ValueError):
+            jacobian(ops, bad)
+
+
 # ---------------------------------------------------------------- newton
 
 def test_newton_from_exact_solution_converges_fast():
@@ -306,3 +344,21 @@ def test_newton_nonconvergence_raises():
     with pytest.raises(ConvergenceError):
         solve_monolithic(g, ParameterPoint(5000.0, 15.0), tol=1e-14,
                          max_iter=1)
+
+
+def test_newton_iterates_bitwise_with_sparse_formula_jacobian(monkeypatch):
+    g = Grid2D(nx=24, ny=6)
+    points = [ParameterPoint(4321.0, 17.5), ParameterPoint(1.0, 25.0),
+              ParameterPoint(1e4, 5.0)]
+
+    def solves():
+        out = []
+        for p in points:
+            _, trace = solve_monolithic(g, p)
+            out += [a.tobytes() for a in trace.iterates + trace.residuals]
+            out.append(np.array(trace.alphas).tobytes())
+        return out
+
+    got = solves()
+    monkeypatch.setattr(burgers, "jacobian", reference_jacobian)
+    assert solves() == got

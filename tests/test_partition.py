@@ -25,6 +25,8 @@ from ddrom.partition import (
     partition_from_pattern,
 )
 
+from fom_reference import reference_jacobian, reference_residual
+
 
 def check_partition_laws(part):
     """Exact invariants every decomposition must satisfy."""
@@ -288,7 +290,7 @@ def test_subdomain_residual_reassembles_global():
     ops = assemble(g, p)
     rng = np.random.default_rng(21)
     x = rng.normal(size=g.ndof)
-    r_global = residual(ops, x)
+    r_global = reference_residual(ops, x)
     rebuilt = np.zeros(g.ndof)
     for sub in part.subdomains:
         x_int, x_gam = part.restrict(sub.index, x)
@@ -352,11 +354,11 @@ def test_restricted_residual_selected_rows_match_global():
     rr = RestrictedResidual(ops, rows, cols)
     x = rng.normal(size=g.ndof)
     got = rr.residual(x[cols])
-    np.testing.assert_allclose(got, residual(ops, x)[rows],
+    np.testing.assert_allclose(got, reference_residual(ops, x)[rows],
                                rtol=1e-13, atol=1e-13)
     assert rr.rows_evaluated == rows.size
     Jr = rr.jacobian(x[cols]).toarray()
-    J_full = jacobian(ops, x).toarray()
+    J_full = reference_jacobian(ops, x).toarray()
     np.testing.assert_allclose(Jr, J_full[np.ix_(rows, cols)],
                                rtol=1e-12, atol=1e-12)
 
@@ -431,7 +433,7 @@ def test_fixed_pattern_jacobian_matches_references(nx, ny, row_set):
             patterns.append((J.indices, J.indptr))
             got = J.toarray()
             for ref in (sparse_formula_jacobian(ops, rows, cols, x[cols]),
-                        jacobian(ops, x)[rows][:, cols]):
+                        reference_jacobian(ops, x)[rows][:, cols]):
                 ref = ref.toarray()
                 assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
         for indices, indptr in patterns[1:]:
@@ -514,3 +516,38 @@ def test_jacobian_product_kernel_matches_jacobian_times_M(row_set):
         rr.product_terms(np.zeros((cols.size + 1, 2)))
     with pytest.raises(ValueError, match="one row per local column"):
         rr.product_terms(sp.identity(cols.size + 1, format="csr"))
+
+
+def test_sparse_products_share_a_read_only_pattern():
+    g = Grid2D(nx=24, ny=6)
+    part = build_partition(g, 2, 2)
+    ops = assemble(g, ParameterPoint(4321.0, 17.5))
+    sub = part.subdomains[0]
+    rr = subdomain_residual(ops, sub)
+    terms = rr.product_terms(sp.identity(rr.n_cols, format="csr"))
+    zero = np.zeros(rr.n_cols)
+    x = np.random.default_rng(4).normal(size=rr.n_cols)
+    J0 = rr.residual_and_product(zero, terms)[1]
+    want = rr.residual_and_product(x, terms)[1].toarray()
+    # the zero state's product holds explicit zeros; dropping them in place
+    # would rewrite the index arrays every later product shares
+    assert np.any(J0.data == 0)
+    with pytest.raises(ValueError):
+        J0.eliminate_zeros()
+    J = rr.residual_and_product(x, terms)[1]
+    np.testing.assert_array_equal(J.toarray(), want)
+    assert not J.indices.flags.writeable
+    # read-only conversions and products still work
+    v = np.random.default_rng(5).normal(size=rr.n_cols)
+    w = np.random.default_rng(6).normal(size=rr.n_rows)
+    np.testing.assert_array_equal(J.tocoo().toarray(), want)
+    np.testing.assert_array_equal(J.tocsc().toarray(), want)
+    np.testing.assert_allclose(J @ v, want @ v, rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(J.T @ w, want.T @ w, rtol=1e-13, atol=1e-13)
+    np.testing.assert_array_equal(J[5:40].toarray(), want[5:40])
+    # a copy owns its index arrays
+    J0 = J0.copy()
+    J0.eliminate_zeros()
+    np.testing.assert_array_equal(J0.toarray(),
+                                  rr.residual_and_product(zero, terms)[1]
+                                  .toarray())

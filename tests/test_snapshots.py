@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddrom import binio
+from ddrom import binio, burgers
 from ddrom.burgers import Grid2D, ParameterPoint, solve_monolithic
 from ddrom.errors import FormatError
 from ddrom.partition import build_partition
@@ -17,6 +17,8 @@ from ddrom.snapshots import (
     save,
     split_columns,
 )
+
+from fom_reference import reference_jacobian
 
 
 # ---------------------------------------------------------------- binary format
@@ -169,6 +171,24 @@ def test_generate_warm_vs_cold_agreement():
                             for p in params])
     diff = np.abs(warm.states - cold).max()
     assert diff <= 10 * tol * max(1.0, np.abs(cold).max())
+
+
+def test_generate_bitwise_with_sparse_formula_jacobian(monkeypatch):
+    grid = Grid2D(nx=24, ny=6)
+    part = build_partition(grid, 2, 2)
+    params = sample_grid(3, 3)
+
+    def arrays():
+        snap = generate(grid, params, part)
+        out = [snap.states, np.array(snap.newton_iters)]
+        for group in (snap.interior, snap.interface, snap.port,
+                      snap.residual):
+            out += [group[k] for k in sorted(group)]
+        return [a.tobytes() for a in out]
+
+    got = arrays()
+    monkeypatch.setattr(burgers, "jacobian", reference_jacobian)
+    assert arrays() == got
 
 
 def test_save_load_round_trip(tmp_path, small_sweep):

@@ -505,9 +505,9 @@ def multiplier_least_squares(prob: SqpProblem, x0: np.ndarray,
     """argmin over multipliers of the interface stationarity residual;
     ``ev`` is the evaluation at ``(x0, 0)`` if the caller has it.
 
-    Zeros on a problem whose SQP steps are Newton steps of the square
-    ``[R; C]`` (:func:`sqp.is_square`, the decomposed FOM): there the
-    starting multipliers affect no step.
+    Zeros on a square problem (:func:`sqp.is_square`, the decomposed FOM),
+    whose steps are Newton steps of ``[R; C]`` in ``C``'s null space: there
+    the starting multipliers affect no step.
     """
     if ev is None:
         ev = eval_gradients(prob, x0, np.zeros(prob.n_mult))

@@ -25,10 +25,14 @@ kind of the blocks' Jacobians ``R_i`` and ``C_i``:
   unknowns (the decomposed FOM): ``[R; C]`` is square, and the
   Gauss-Newton SQP step is its Newton step ``s = -[R; C]^-1 [Br; c]``
   with zero new multipliers (``C' (lam + s_lam) = -R' (Br + R s) = 0``,
-  ``C`` of full row rank).  ``[R; C]`` is factored by a sparse LU as it
-  stands, without squaring its condition number in ``R' R``; a singular
-  factor raises :class:`ConvergenceError`, and the driver skips the
-  multiplier least squares, which could affect no step;
+  ``C`` of full row rank).  Every row of ``C`` equates two copies of an
+  unknown, so the step is taken in ``C``'s null space (Nocedal & Wright,
+  sec. 15.3): ``s = s_p + Z y``, with ``Z`` the 0/1 copy matrix,
+  ``C s_p = -c`` (``s_p = 0`` when ``c == 0``) and ``(R Z) y = -(Br +
+  R s_p)``.  The square ``R Z`` is factored by a sparse LU, without
+  squaring its condition number in ``R' R``; a singular factor raises
+  :class:`ConvergenceError`, and the driver skips the multiplier least
+  squares, which could affect no step;
 * all dense (the ROMs): the dense normal-form KKT system
   ``[[blockdiag(R_i' R_i), C'], [C, 0]]``, regularized once by
   ``+delta I`` if its solve fails;
@@ -47,6 +51,7 @@ from typing import ClassVar
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
 from .errors import ConvergenceError
@@ -54,7 +59,6 @@ from .errors import ConvergenceError
 ARMIJO_C1 = 1e-4    # sufficient-decrease constant of the line search
 MAX_HALVINGS = 25   # line-search step halvings before giving up
 REG_SCALE = 1e-12   # KKT fallback regularization, relative to trace(R'R)
-FD_STEP = 1e-6      # convergence_diagnostics' finite-difference step
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,6 +92,7 @@ class SqpProblem:
             self.offsets.append(pos)
             pos += b.n_int + b.n_gam
         self.n_primal = pos
+        self._copies = None     # _copy_labels' cache
 
     def split(self, x):
         """Per-block (x_int, x_gam) views of the stacked vector."""
@@ -201,9 +206,10 @@ def is_square(prob: SqpProblem, ev: SqpEval) -> bool:
 
     ``True`` when every block's ``R`` and ``C`` are sparse and the residual
     rows plus the multipliers number the unknowns: the step is the Newton
-    step of the square ``[R; C]``.  ``False`` when every block's ``R`` and
-    ``C`` are dense: the step solves the dense normal-form KKT system.
-    Any other problem raises ``ValueError`` naming its shapes.
+    step of the square ``[R; C]``, in ``C``'s null space.  ``False`` when
+    every block's ``R`` and ``C`` are dense: the step solves the dense
+    normal-form KKT system.  Any other problem raises ``ValueError``
+    naming its shapes.
     """
     kinds = {(sp.issparse(be.R), sp.issparse(be.con_jac))
              for be in ev.blocks}
@@ -221,22 +227,45 @@ def is_square(prob: SqpProblem, ev: SqpEval) -> bool:
             for be in ev.blocks))
 
 
-def _newton_matrix(prob: SqpProblem, ev: SqpEval):
-    """The square ``[R; C]`` of an :func:`is_square` problem as CSC, from
-    one COO construction over the stacked ``R_i`` (at their row and column
-    offsets) and the ``C_i`` (at their interface columns)."""
-    n, n_res = prob.n_primal, prob.n_primal - prob.n_mult
-    rows, cols, vals = [], [], []
-    row = 0
-    for off, block, be in zip(prob.offsets, prob.blocks, ev.blocks):
-        R, C = be.R.tocoo(), be.con_jac.tocoo()
-        rows += [R.row + row, C.row + n_res]
-        cols += [R.col + off, C.col + off + block.n_int]
-        vals += [R.data, C.data]
-        row += R.shape[0]
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n)).tocsc()
+def _copy_labels(prob: SqpProblem, ev: SqpEval):
+    """``(labels, C)``: the stacked CSR constraint Jacobian ``C`` of a
+    square problem and, per unknown, its copy: a connected component of the
+    graph whose edges are ``C``'s rows, so ``Z = I[labels]`` spans ``C``'s
+    null space.  ``ValueError`` unless every row of ``C`` is one +1 and one
+    -1.  Cached on ``prob`` while its blocks return the same ``C_i``."""
+    cons = [be.con_jac for be in ev.blocks]
+    if prob._copies and all(a is b for a, b in zip(prob._copies[0], cons)):
+        return prob._copies[1:]
+    n, m = prob.n_primal, prob.n_mult
+    C = sp.hstack([M for b, C_i in zip(prob.blocks, cons)
+                   for M in (sp.csr_matrix((m, b.n_int)), C_i)], format="csr")
+    if np.any(np.diff(C.indptr) != 2) or np.any(
+            np.sort(C.data.reshape(-1, 2)) != [-1.0, 1.0]):
+        raise ValueError("a square SQP problem needs a signed-incidence C: "
+                         "one +1 and one -1 per row")
+    edges = C.indices.reshape(-1, 2).T
+    n_copies, labels = scipy.sparse.csgraph.connected_components(
+        sp.coo_matrix((np.ones(m), tuple(edges)), (n, n)), directed=False)
+    if n_copies != n - m:
+        raise ConvergenceError(f"[R; C] is singular: C leaves {n_copies} "
+                               f"copies for {n - m} residual rows")
+    prob._copies = (cons, labels, C)
+    return labels, C
+
+
+def _rz_matrix(prob: SqpProblem, ev: SqpEval, labels):
+    """``R Z`` as CSC: the blocks' ``R_i`` stacked as CSR, each column
+    relabelled to its copy (``Z`` is never formed)."""
+    Rs = [be.R.tocsr() for be in ev.blocks]
+    starts = np.cumsum([0] + [R.nnz for R in Rs])
+    n_res = prob.n_primal - prob.n_mult
+    return sp.csr_matrix((
+        np.concatenate([R.data for R in Rs]),
+        np.concatenate([labels[off + R.indices]
+                        for off, R in zip(prob.offsets, Rs)]),
+        np.concatenate([[0]] + [R.indptr[1:] + k
+                                for R, k in zip(Rs, starts)])),
+        (n_res, n_res)).tocsc()
 
 
 def _lu(K):
@@ -275,27 +304,36 @@ def assemble_and_solve_kkt(prob: SqpProblem, ev: SqpEval, lam):
     at the multipliers ``lam``; returns ``(s, s_lam, path, residual)``.
 
     :func:`is_square` picks the system (or raises ``ValueError``): the
-    Newton step of ``[R; C]`` with ``s_lam = -lam`` (``path`` ``"newton"``)
+    Newton step of ``[R; C]`` in ``C``'s null space (``s = s_p + Z y``, see
+    the module docstring), with ``s_lam = -lam`` (``path`` ``"newton"``),
     or the dense saddle-point system ``[[blockdiag(R_i' R_i), C'], [C, 0]]``
     (``"kkt"``).  Each is an LU (see :func:`_lu`) with one round of
     iterative refinement whose relative back-substitution residual,
     returned as ``residual``, must come out below 1e-10.  A Newton solve
-    that misses it raises ``ConvergenceError``; a KKT solve that misses it
-    is retried once with its Hessian blocks regularized by +delta*I, with
-    a warning (``"kkt+reg"``), and then raises.
+    that misses it (in ``R Z`` or, if ``c != 0``, in ``C C'``) raises
+    ``ConvergenceError``; a KKT solve that misses it is retried once with
+    its Hessian blocks regularized by +delta*I, with a warning
+    (``"kkt+reg"``), and then raises.
     """
     n = prob.n_primal
     if is_square(prob, ev):
-        rhs = -np.concatenate([be.Br for be in ev.blocks] + [ev.con])
+        labels, C = _copy_labels(prob, ev)
+        rhs, s, res_p = -np.concatenate([be.Br for be in ev.blocks]), 0, 0
         try:
-            s, res, pivot = _refined_solve(_newton_matrix(prob, ev), rhs)
+            if ev.con.any():            # s_p = C' (C C')^-1 (-c)
+                z, res_p, _ = _refined_solve((C @ C.T).tocsc(), -ev.con)
+                s = C.T @ z
+                rhs -= np.concatenate([be.R @ s[o:o + be.R.shape[1]] for
+                                       o, be in zip(prob.offsets, ev.blocks)])
+            y, res, pivot = _refined_solve(_rz_matrix(prob, ev, labels), rhs)
         except scipy.linalg.LinAlgError as exc:
             raise ConvergenceError(f"[R; C] is singular ({exc})") from exc
+        res = max(res, res_p)
         if res > 1e-10:
             raise ConvergenceError(
                 f"[R; C] back-substitution residual {res:.3e} exceeds "
                 f"1e-10 (smallest pivot {pivot:.3e})")
-        return s, -lam, "newton", res
+        return s + y[labels], -lam, "newton", res
     K = _kkt_matrix(prob, ev)
     rhs = -ev.optimality
     path = "kkt"
@@ -475,42 +513,3 @@ def iterate(prob: SqpProblem, x0, lam0=None,
                      kkt_path_history=kkt_paths,
                      kkt_residual_history=kkt_residuals,
                      iterates=iterates, steps=steps, timings=timings)
-
-
-def _gn_hessian_product(prob: SqpProblem, ev: SqpEval, s) -> np.ndarray:
-    """The Gauss-Newton Hessian product ``blockdiag(R_i' R_i) s``, formed
-    blockwise as ``R_i' (R_i s_i)``."""
-    out = np.empty(prob.n_primal)
-    for off, be in zip(prob.offsets, ev.blocks):
-        w = be.R.shape[1]
-        out[off:off + w] = be.R.T @ (be.R @ s[off:off + w])
-    return out
-
-
-def convergence_diagnostics(prob: SqpProblem, result: SqpResult) -> dict:
-    """Report-only convergence measures from a recorded run.
-
-    ``eta`` estimates the Gauss-Newton inexactness per accepted step as
-    ||(true Hessian - GN Hessian) s|| / ||F|| using finite-difference
-    Hessian-vector products, so it costs two gradient sweeps per iteration:
-    meant for small problems.  Never gates or alters a solve.
-    """
-    if len(result.iterates) < 2 or not result.steps:
-        raise ValueError("diagnostics need a recorded run of >= 1 step")
-    merits = result.merit_history
-    ratios = [merits[k + 1] / merits[k] if merits[k] > 0 else np.nan
-              for k in range(len(merits) - 1)]
-    etas = []
-    for (xk, lamk), (s, _) in zip(result.iterates, result.steps):
-        ev = eval_gradients(prob, xk, lamk)
-        h = FD_STEP / max(np.linalg.norm(s), 1e-300)
-        plus = eval_gradients(prob, xk + h * s, lamk)
-        minus = eval_gradients(prob, xk - h * s, lamk)
-        Hs_true = (plus.rho - minus.rho) / (2.0 * h)
-        Hs_gn = _gn_hessian_product(prob, ev, s)
-        denom = max(ev.merit, 1e-300)
-        etas.append(float(np.linalg.norm(Hs_true - Hs_gn)) / denom)
-    return {"merit": list(merits),
-            "contraction": ratios,
-            "eta": etas,
-            "iterations": list(range(len(merits)))}

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
+from ddrom import burgers
 from ddrom.autoencoder import TrainConfig
 from ddrom.burgers import Grid2D, ParameterPoint, assemble, exact_state, \
     solve_monolithic
@@ -289,10 +291,13 @@ def test_dd_fom_square_step_matches_dense_and_normal_form(nx, ny):
     lam = np.random.default_rng(nx).standard_normal(m)
     ev0 = eval_gradients(prob, x0, lam)
     s0, *_ = assemble_and_solve_kkt(prob, ev0, lam)
-    # at the zero start and at the first Newton iterate
-    for x in (x0, x0 + s0):
+    # at the zero start, at the first Newton iterate and at an infeasible
+    # random start (c != 0: the step needs its particular solution too)
+    x_rand = np.random.default_rng(ny).standard_normal(n)
+    for x in (x0, x0 + s0, x_rand):
         ev = eval_gradients(prob, x, lam)
         assert is_square(prob, ev)
+        assert (np.abs(ev.con).max() > 0.1) == (x is x_rand)
         s, s_lam, path, res = assemble_and_solve_kkt(prob, ev, lam)
         assert path == "newton" and res <= 1e-10
         assert np.array_equal(lam + s_lam, np.zeros(m))
@@ -358,11 +363,34 @@ def test_dd_fom_with_collocation_hr_is_rejected_at_first_solve(desk):
         solve_rom(fit_initializer(inst, snap), p, compute_error=False)
 
 
+def global_to_latent(part, g):
+    """The DD-FOM latent that copies the global state ``g`` into every
+    subdomain."""
+    return np.concatenate([np.concatenate(part.restrict(i, g))
+                           for i in range(part.n_sub)])
+
+
+def copy_matrix(part, labels):
+    """``P`` with ``P[g, j] = 1`` when copy ``j`` of the SQP's null-space
+    step holds global unknown ``g``; raises unless ``labels`` puts every
+    subdomain copy of one global unknown, and nothing else, in one copy."""
+    cols = np.concatenate([np.concatenate([s.interior_cols, s.interface_cols])
+                           for s in part.subdomains])
+    P = np.zeros((part.grid.ndof, part.grid.ndof))
+    P[cols, labels] = 1.0
+    assert np.array_equal(P @ P.T, np.eye(part.grid.ndof))
+    return P
+
+
 def test_dd_fom_coupling_stays_csr_into_the_newton_matrix(desk,
                                                           monkeypatch):
+    # the copy labels and R Z come from the CSR blocks without a
+    # per-iteration np.nonzero; C Z = 0, and R Z is the monolithic
+    # Jacobian's rows J[res_rows] up to a column permutation, exactly
     grid, part, snap = desk
     inst = build_dd_fom(part)
-    prob = build_problem(inst, assemble(grid, snap.params[7]))
+    ops = assemble(grid, snap.params[7])
+    prob = build_problem(inst, ops)
     x = perturbed_latent(inst, snap, 7)
     A = assemble_fom_constraints(part.ports)
     for blk, A_i, (xi, xg) in zip(prob.blocks, A.blocks, prob.split(x)):
@@ -376,9 +404,48 @@ def test_dd_fom_coupling_stays_csr_into_the_newton_matrix(desk,
         raise AssertionError("np.nonzero on a coupling block")
 
     monkeypatch.setattr(np, "nonzero", nonzero)
-    K = sqp._newton_matrix(prob, ev)
+    labels, _ = sqp._copy_labels(prob, ev)
+    RZ = sqp._rz_matrix(prob, ev, labels)
     monkeypatch.undo()
-    np.testing.assert_array_equal(K.toarray(), dense_newton_matrix(prob, ev))
+    n, m = prob.n_primal, prob.n_mult
+    Z = np.eye(n - m)[labels]
+    K = dense_newton_matrix(prob, ev)
+    np.testing.assert_array_equal(K[n - m:] @ Z, np.zeros((m, n - m)))
+    np.testing.assert_array_equal(RZ.toarray(), K[:n - m] @ Z)
+    # at a state every subdomain copies from one global g
+    g = np.random.default_rng(7).standard_normal(grid.ndof)
+    ev = eval_gradients(prob, global_to_latent(part, g),
+                        np.zeros(prob.n_mult))
+    rows = np.concatenate([s.res_rows for s in part.subdomains])
+    J = reference_jacobian(ops, g).toarray()
+    np.testing.assert_array_equal(sqp._rz_matrix(prob, ev, labels).toarray(),
+                                  J[rows] @ copy_matrix(part, labels))
+
+
+@pytest.mark.parametrize("nx,ny", [(60, 8), (120, 12)])
+def test_dd_fom_step_is_the_monolithic_newton_step(nx, ny):
+    # at one global state g copied into every subdomain (c = 0), the DD-FOM
+    # step is Z y, and y is the monolithic Newton step -J(g)^-1 r(g)
+    p = ParameterPoint(5000.0, 15.0)
+    part = build_partition(Grid2D(nx, ny), 2, 2)
+    ops = assemble(part.grid, p)
+    prob = build_problem(build_dd_fom(part), ops)
+    lam = np.zeros(prob.n_mult)
+    for g in (np.zeros(part.grid.ndof),
+              0.5 * solve_monolithic(part.grid, p)[0],
+              np.random.default_rng(nx).standard_normal(part.grid.ndof)):
+        ev = eval_gradients(prob, global_to_latent(part, g), lam)
+        assert not ev.con.any()
+        s, _, path, _ = assemble_and_solve_kkt(prob, ev, lam)
+        assert path == "newton"
+        labels, _ = sqp._copy_labels(prob, ev)
+        y = np.zeros(part.grid.ndof)
+        y[labels] = s
+        np.testing.assert_array_equal(s, y[labels])     # s = Z y exactly
+        step = copy_matrix(part, labels) @ y
+        ref = scipy.sparse.linalg.splu(burgers.jacobian(ops, g).tocsc()
+                                       ).solve(-burgers.residual(ops, g))
+        assert np.linalg.norm(step - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 # ------------------------------------------------------------------ LS-ROM

@@ -19,7 +19,6 @@ from ddrom.sqp import (
     SqpProblem,
     _kkt_matrix,
     assemble_and_solve_kkt,
-    convergence_diagnostics,
     eval_gradients,
     iterate,
 )
@@ -100,6 +99,46 @@ def constrained_lsq_oracle(R, b, E, d):
     return x_p + N @ y
 
 
+FD_STEP = 1e-6      # convergence_diagnostics' finite-difference step
+
+
+def gn_hessian_product(prob, ev, s):
+    """The Gauss-Newton Hessian product ``blockdiag(R_i' R_i) s``, formed
+    blockwise as ``R_i' (R_i s_i)``."""
+    out = np.empty(prob.n_primal)
+    for off, be in zip(prob.offsets, ev.blocks):
+        w = be.R.shape[1]
+        out[off:off + w] = be.R.T @ (be.R @ s[off:off + w])
+    return out
+
+
+def convergence_diagnostics(prob, result):
+    """Convergence measures of a recorded run: the optimality norm's
+    contraction per iteration, and ``eta``, the Gauss-Newton inexactness
+    per accepted step, ||(true Hessian - GN Hessian) s|| / ||F||, from
+    central-difference Hessian-vector products of the Lagrangian
+    gradient (two gradient sweeps per step)."""
+    if len(result.iterates) < 2 or not result.steps:
+        raise ValueError("diagnostics need a recorded run of >= 1 step")
+    merits = result.merit_history
+    ratios = [merits[k + 1] / merits[k] if merits[k] > 0 else np.nan
+              for k in range(len(merits) - 1)]
+    etas = []
+    for (xk, lamk), (s, _) in zip(result.iterates, result.steps):
+        ev = eval_gradients(prob, xk, lamk)
+        h = FD_STEP / max(np.linalg.norm(s), 1e-300)
+        plus = eval_gradients(prob, xk + h * s, lamk)
+        minus = eval_gradients(prob, xk - h * s, lamk)
+        Hs_true = (plus.rho - minus.rho) / (2.0 * h)
+        Hs_gn = gn_hessian_product(prob, ev, s)
+        denom = max(ev.merit, 1e-300)
+        etas.append(float(np.linalg.norm(Hs_true - Hs_gn)) / denom)
+    return {"merit": list(merits),
+            "contraction": ratios,
+            "eta": etas,
+            "iterations": list(range(len(merits)))}
+
+
 # -- gradients -----------------------------------------------------------
 
 
@@ -176,15 +215,15 @@ def test_inconsistent_constraint_shape_rejected():
 # -- KKT solve -----------------------------------------------------------
 
 
-def count_newton_matrices(monkeypatch):
+def count_rz_matrices(monkeypatch):
     calls = []
-    build = sqp._newton_matrix
+    build = sqp._rz_matrix
 
-    def spy(prob, ev):
+    def spy(prob, ev, labels):
         calls.append(1)
-        return build(prob, ev)
+        return build(prob, ev, labels)
 
-    monkeypatch.setattr(sqp, "_newton_matrix", spy)
+    monkeypatch.setattr(sqp, "_rz_matrix", spy)
     return calls
 
 
@@ -305,26 +344,34 @@ def test_square_predicate_reads_sparsity_and_sizes():
     x, lam = rng.normal(size=prob.n_primal), rng.normal(size=prob.n_mult)
     with pytest.raises(ValueError, match="16 residual rows"):
         sqp.is_square(prob, eval_gradients(prob, x, lam))   # not square
-    blk = linear_block(np.eye(2), np.eye(2), np.ones(2),
-                       np.array([[1.0, 0.0], [0.0, 2.0]]))
-    prob = SqpProblem([blk], 2)
-    ev = eval_gradients(prob, np.zeros(4), np.zeros(2))
+    # two residual rows and one constraint (x_gam[0] = x_gam[1]) on three
+    # unknowns
+    blk = linear_block(np.ones((2, 1)), np.eye(2), np.ones(2),
+                       np.array([[1.0, -1.0]]))
+    prob = SqpProblem([blk], 1)
+    ev = eval_gradients(prob, np.zeros(3), np.zeros(1))
     assert not sqp.is_square(prob, ev)          # dense R and C
-    prob = SqpProblem([sparsified(blk)], 2)
-    ev = eval_gradients(prob, np.zeros(4), np.zeros(2))
+    prob = SqpProblem([sparsified(blk)], 1)
+    ev = eval_gradients(prob, np.zeros(3), np.zeros(1))
     assert sqp.is_square(prob, ev)
 
 
-def test_square_step_is_newton_step_with_zero_new_multipliers():
+def test_square_step_is_newton_step_with_zero_new_multipliers(monkeypatch):
+    # the three interface unknowns are copies of one unknown (a chain of
+    # signed-incidence rows); a random x violates C x = d, so the step
+    # needs its particular solution s_p as well as R Z
     rng = np.random.default_rng(30)
-    E = rng.normal(size=(2, 2))
-    blk = square_block(np.eye(2) + 0.1 * rng.normal(size=(2, 2)),
-                       rng.normal(size=(2, 2)), rng.normal(size=2), E,
+    E = np.array([[1.0, -1.0, 0.0], [0.0, -1.0, 1.0]])
+    blk = square_block(np.eye(3, 2) + 0.1 * rng.normal(size=(3, 2)),
+                       rng.normal(size=(3, 3)), rng.normal(size=3), E,
                        rng.normal(size=2))
     prob = SqpProblem([blk], 2)
-    x, lam = rng.normal(size=4), rng.normal(size=2)
+    x, lam = rng.normal(size=5), rng.normal(size=2)
     ev = eval_gradients(prob, x, lam)
+    assert np.abs(ev.con).max() > 0.1
+    calls = count_rz_matrices(monkeypatch)
     s, s_lam, path, res = assemble_and_solve_kkt(prob, ev, lam)
+    assert calls == [1]
     assert path == "newton" and res <= 1e-10
     assert np.array_equal(lam + s_lam, np.zeros(2))
     r0, R, c0, _ = blk.evaluate(x[:2], x[2:])
@@ -334,7 +381,7 @@ def test_square_step_is_newton_step_with_zero_new_multipliers():
     ref_prob = densified(prob)
     K = _kkt_matrix(ref_prob, eval_gradients(ref_prob, x, lam))
     sol = np.linalg.solve(K, -ev.optimality)
-    assert np.linalg.norm(s - sol[:4]) <= 1e-10 * np.linalg.norm(sol[:4])
+    assert np.linalg.norm(s - sol[:5]) <= 1e-10 * np.linalg.norm(sol[:5])
 
 
 def test_singular_square_system_raises_convergence_error(monkeypatch):
@@ -343,11 +390,13 @@ def test_singular_square_system_raises_convergence_error(monkeypatch):
     # normal-form solve stands in for the Newton step
     singular = [
         SqpProblem([square_block(
-            np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.0], [1.0]]),
-            np.array([1.0, 2.0]), np.array([[1.0]]), np.array([0.5]))], 1),
+            np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
+            np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+            np.array([1.0, 2.0, 0.0]), np.array([[1.0, -1.0]]),
+            np.array([0.5]))], 1),
         SqpProblem([square_block(
             np.eye(2), np.eye(2), np.ones(2),
-            np.array([[1.0, 1.0], [1.0, 1.0]]))], 2)]
+            np.array([[1.0, -1.0], [1.0, -1.0]]))], 2)]
     monkeypatch.setattr(sqp, "_kkt_matrix", None)
     for prob in singular:
         x0 = np.zeros(prob.n_primal)
@@ -359,6 +408,27 @@ def test_singular_square_system_raises_convergence_error(monkeypatch):
                 assemble_and_solve_kkt(prob, ev, np.zeros(prob.n_mult))
             with pytest.raises(ConvergenceError, match=r"\[R; C\]"):
                 iterate(prob, x0, cfg=SqpConfig(tol=1e-10, max_iter=1))
+
+
+def test_square_problem_without_incidence_constraints_is_rejected():
+    # [R; C] is square, but a row of C that does not equate two copies
+    # (one +1 and one -1) leaves no null-space step: the first solve
+    # raises, naming it, instead of choosing another step
+    for E in ([[1.0, 0.0], [0.0, 2.0]], [[1.0, 1.0], [1.0, -1.0]],
+              [[2.0, -2.0], [1.0, -1.0]], [[1.0, -1.0, 1.0]]):
+        E = np.array(E)
+        m, n_gam = E.shape
+        rows = 2 + n_gam - m
+        blk = square_block(np.ones((rows, 2)), np.eye(rows, n_gam),
+                           np.ones(rows), E)
+        prob = SqpProblem([blk], m)
+        x0 = np.zeros(prob.n_primal)
+        ev = eval_gradients(prob, x0, np.zeros(m))
+        assert sqp.is_square(prob, ev)
+        with pytest.raises(ValueError, match="signed-incidence C"):
+            assemble_and_solve_kkt(prob, ev, np.zeros(m))
+        with pytest.raises(ValueError, match="signed-incidence C"):
+            iterate(prob, x0, cfg=SqpConfig(tol=1e-10, max_iter=1))
 
 
 def test_kkt_path_and_residual_recorded_per_solve(monkeypatch):
@@ -390,7 +460,7 @@ def test_gauss_newton_product_matches_kkt_hessian_block(which):
         n = prob.n_primal
         ref = _kkt_matrix(ref_prob, eval_gradients(ref_prob, x, lam))[
             :n, :n] @ s
-        got = sqp._gn_hessian_product(prob, ev, s)
+        got = gn_hessian_product(prob, ev, s)
         assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 

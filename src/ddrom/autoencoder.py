@@ -91,22 +91,16 @@ def build_mask(n_out: int, band: int, shift: int) -> BandedMask:
     if n_out < 1 or band < 1 or shift < 1:
         raise ValueError("n_out, band, shift must all be >= 1")
     width = n_out * shift
-    rows, cols = [], []
-    for r in range(n_out):
-        taken = set()
-        for k in (-1, 0, 1):
-            start = r * shift + k * band * shift
-            for c in range(start, start + band):
-                if 0 <= c < width and c not in taken:
-                    taken.add(c)
-                    rows.append(r)
-                    cols.append(c)
-        if not taken:
-            raise ValueError(f"mask row {r} would be empty")
-    order = np.lexsort((cols, rows))
+    # the bands of one row never overlap (shift >= 1) and the middle one
+    # holds column r*shift < width, so every row keeps 1..3*band ascending
+    # columns
+    offsets = np.add.outer(np.array([-1, 0, 1]) * band * shift,
+                           np.arange(band)).ravel()
+    cols = np.arange(n_out, dtype=np.int64)[:, None] * shift + offsets
+    keep = (cols >= 0) & (cols < width)
     return BandedMask(n_out=n_out, band=band, shift=shift, width=width,
-                      rows=np.asarray(rows, dtype=np.int64)[order],
-                      cols=np.asarray(cols, dtype=np.int64)[order])
+                      rows=np.nonzero(keep)[0].astype(np.int64),
+                      cols=cols[keep])
 
 
 @dataclass(eq=False)

@@ -255,27 +255,15 @@ def jacobian(ops: FomOperators, s: np.ndarray) -> sp.csr_matrix:
 def structural_pattern(grid: Grid2D) -> sp.csr_matrix:
     """State-independent Jacobian sparsity pattern (boolean CSR).
 
-    The pattern is the union over all states of the analytic Jacobian's
-    support: 5-point coupling within each velocity block plus diagonal
-    cross-coupling between blocks.
+    A copy of the fixed pattern :func:`jacobian` fills at every state
+    (the per-grid kernel's, so nothing restates the stencil): 5-point
+    coupling within each velocity block plus diagonal cross-coupling
+    between blocks.
     """
-    nx, ny = grid.nx, grid.ny
-
-    def absval(m):
-        m = m.tocsr(copy=True)
-        m.data = np.abs(m.data)
-        return m
-
-    # summing |entries| keeps the union support (signed sums can cancel)
-    block = (sp.kron(sp.identity(ny), absval(_first_difference(nx)))
-             + sp.kron(absval(_first_difference(ny)), sp.identity(nx))
-             + sp.kron(sp.identity(ny), absval(_second_difference(nx)))
-             + sp.kron(absval(_second_difference(ny)), sp.identity(nx))
-             + sp.identity(nx * ny))
-    eye = sp.identity(nx * ny)
-    pat = sp.bmat([[block, eye], [eye, block]], format="csr")
-    pat.data = np.ones_like(pat.data)
-    return pat.astype(bool)
+    pattern = _fom_kernel(grid)._identity_terms[2]
+    return sp.csr_matrix((np.ones(pattern.nnz, dtype=bool),
+                          pattern.indices.copy(), pattern.indptr.copy()),
+                         shape=pattern.shape)
 
 
 class RestrictedResidual:

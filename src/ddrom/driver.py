@@ -479,38 +479,34 @@ def build_problem(instance: RomInstance, ops: FomOperators) -> SqpProblem:
 # -- initialization ------------------------------------------------------
 
 
-def init_guess(instance: RomInstance, p: ParameterPoint, *,
-               ops: FomOperators | None = None,
-               prob: SqpProblem | None = None):
-    """RBF latent prediction plus least-squares multipliers.
+def init_guess(instance: RomInstance, p: ParameterPoint,
+               prob: SqpProblem, x0=None):
+    """The start of an SQP solve of ``prob`` (the problem at ``p``): the
+    latent ``x0`` if given, else the RBF prediction at ``p``, with
+    least-squares multipliers.
 
-    The multiplier solve uses the interface stationarity rows, which are
-    linear in the multipliers for fixed latents.  Returns ``(x0, lam0,
-    ev0)``, where ``ev0`` is the zero-multiplier evaluation at ``x0`` the
-    solve made; ``iterate(..., start=ev0)`` reuses it.
+    Evaluates every block once at ``(x0, 0)``; the multiplier solve uses
+    the interface stationarity rows of that evaluation, which are linear
+    in the multipliers for fixed latents.  Returns ``(x0, lam0, ev0)``;
+    ``iterate(..., start=ev0)`` reuses ``ev0`` as its first evaluation.
     """
-    if instance.initializer is None:
-        raise ValueError("instance has no fitted initializer")
-    x0 = instance.initializer.query(p)
-    if ops is None:
-        ops = assemble(instance.partition.grid, p)
-    if prob is None:
-        prob = build_problem(instance, ops)
+    if x0 is None:
+        if instance.initializer is None:
+            raise ValueError("instance has no fitted initializer")
+        x0 = instance.initializer.query(p)
+    x0 = np.asarray(x0, dtype=float)
     ev0 = eval_gradients(prob, x0, np.zeros(prob.n_mult))
-    return x0, multiplier_least_squares(prob, x0, ev0), ev0
+    return x0, multiplier_least_squares(prob, ev0), ev0
 
 
-def multiplier_least_squares(prob: SqpProblem, x0: np.ndarray,
-                             ev: SqpEval | None = None) -> np.ndarray:
-    """argmin over multipliers of the interface stationarity residual;
-    ``ev`` is the evaluation at ``(x0, 0)`` if the caller has it.
+def multiplier_least_squares(prob: SqpProblem, ev: SqpEval) -> np.ndarray:
+    """argmin over multipliers of the interface stationarity residual of
+    ``ev``, the evaluation at the start latents with zero multipliers.
 
     Zeros on a square problem (:func:`sqp.is_square`, the decomposed FOM),
     whose steps are Newton steps of ``[R; C]`` in ``C``'s null space: there
     the starting multipliers affect no step.
     """
-    if ev is None:
-        ev = eval_gradients(prob, x0, np.zeros(prob.n_mult))
     if is_square(prob, ev):
         return np.zeros(prob.n_mult)
     rows, rhs = [], []
@@ -600,12 +596,14 @@ def solve_rom(instance: RomInstance, p: ParameterPoint,
               compute_error: bool = True, label: str = ""):
     """Solve the ROM at ``p``; returns ``(RomSolution, BenchmarkRecord)``.
 
-    The record's parallel time charges each iteration with the slowest
-    block evaluation instead of the per-block sum, matching a
-    one-subdomain-per-processor execution model.  ``rom_seconds`` times
-    the SQP iterations alone; ``online_seconds`` is the whole online path
-    from operator assembly through decode (FOM reference and error
-    excluded).
+    The solve starts at :func:`init_guess`: from ``x0`` if given (the
+    decomposed FOM, which has no RBF initializer), else from the RBF
+    prediction at ``p``.  The record's parallel time charges each
+    iteration with the slowest block evaluation instead of the per-block
+    sum, matching a one-subdomain-per-processor execution model.
+    ``rom_seconds`` times the SQP iterations alone; ``online_seconds`` is
+    the whole online path from operator assembly through decode (FOM
+    reference and error excluded).
     """
     part = instance.partition
     if compute_error and fom_state is None:
@@ -615,12 +613,7 @@ def solve_rom(instance: RomInstance, p: ParameterPoint,
     t_online = time.perf_counter()
     ops = assemble(part.grid, p)
     prob = build_problem(instance, ops)
-    if x0 is None:
-        x0, lam0, start = init_guess(instance, p, ops=ops, prob=prob)
-    else:
-        x0 = np.asarray(x0, dtype=float)
-        start = eval_gradients(prob, x0, np.zeros(prob.n_mult))
-        lam0 = multiplier_least_squares(prob, x0, start)
+    x0, lam0, start = init_guess(instance, p, prob, x0)
 
     t0 = time.perf_counter()
     res = iterate(prob, x0, lam0, cfg, start)

@@ -10,7 +10,8 @@ port copies pairwise.
 
 Everything is derived from the structural Jacobian sparsity pattern, so the
 same machinery works for any square system -- the Burgers wrapper just
-feeds it the 5-point-stencil pattern and the grid-block row ownership.
+feeds it the residual kernel's Jacobian pattern
+(:func:`burgers.structural_pattern`) and the grid-block row ownership.
 """
 
 from __future__ import annotations
@@ -189,7 +190,7 @@ class Partition:
         self.grid = grid
         self.nsub_x = nsub_x
         self.nsub_y = nsub_y
-        self.pattern = structural_pattern(grid).tocsr()
+        self.pattern = structural_pattern(grid)
         self.row_owner = self._node_ownership()
         self.subdomains, self.ports = partition_from_pattern(
             self.pattern, self.row_owner)
@@ -218,17 +219,6 @@ class Partition:
         """Restrict a global state to ``(x_i_interior, x_i_interface)``."""
         sub = self.subdomains[i]
         return x[sub.interior_cols], x[sub.interface_cols]
-
-    def report(self) -> str:
-        lines = [f"partition {self.nsub_x}x{self.nsub_y} on grid "
-                 f"{self.grid.nx}x{self.grid.ny} (N = {self.grid.ndof})"]
-        for s in self.subdomains:
-            lines.append(f"  subdomain {s.index}: rows {s.n_res}, "
-                         f"interior {s.n_interior}, interface {s.n_interface}")
-        for p in self.ports.ports:
-            lines.append(f"  port {p.index}: {p.size} columns, "
-                         f"members {p.members}")
-        return "\n".join(lines)
 
 
 @dataclass(eq=False)

@@ -91,6 +91,39 @@ def test_mask_rows_sorted_row_major():
     assert np.array_equal(order, np.arange(m.nnz))
 
 
+def loop_mask(n_out, band, shift):
+    """Reference: each row's three bands column by column, clipped to the
+    width and de-duplicated, every row non-empty, sorted row-major."""
+    width = n_out * shift
+    rows, cols = [], []
+    for r in range(n_out):
+        taken = set()
+        for k in (-1, 0, 1):
+            start = r * shift + k * band * shift
+            for c in range(start, start + band):
+                if 0 <= c < width and c not in taken:
+                    taken.add(c)
+                    rows.append(r)
+                    cols.append(c)
+        if not taken:
+            raise ValueError(f"mask row {r} would be empty")
+    order = np.lexsort((cols, rows))
+    return (np.asarray(rows, dtype=np.int64)[order],
+            np.asarray(cols, dtype=np.int64)[order])
+
+
+def test_mask_matches_per_column_loop():
+    for n_out in range(1, 41):
+        for band in range(1, 7):
+            for shift in range(1, 7):
+                m = build_mask(n_out, band, shift)
+                rows, cols = loop_mask(n_out, band, shift)
+                assert m.width == n_out * shift
+                for got, ref in ((m.rows, rows), (m.cols, cols)):
+                    assert got.dtype == ref.dtype
+                    assert np.array_equal(got, ref)
+
+
 # -- activations ---------------------------------------------------------
 
 

@@ -255,6 +255,33 @@ def test_jacobian_pattern_within_structural_pattern():
     assert outside.max() <= 0
 
 
+def test_structural_pattern_is_the_jacobian_support():
+    # the support of the formula's Jacobian at a random state (no entry
+    # cancels there) and the kernel's fixed pattern, on every small grid:
+    # the nx = 2 grids once picked up diagonal-neighbour couplings
+    rng = np.random.default_rng(11)
+    p = ParameterPoint(1234.0, 11.0)
+    grids = [Grid2D(nx, ny) for nx in range(2, 10) for ny in range(2, 10)]
+    wrong = []
+    for g in grids + [Grid2D(60, 8), Grid2D(120, 12)]:
+        pat = structural_pattern(g)
+        J = reference_jacobian(assemble(g, p), rng.normal(size=g.ndof))
+        J.eliminate_zeros()
+        J.sort_indices()
+        kernel = burgers._fom_kernel(g)._identity_terms[2]
+        assert isinstance(pat, sp.csr_matrix) and pat.dtype == bool
+        assert pat.shape == (g.ndof, g.ndof) and np.all(pat.data)
+        same_support = (np.array_equal(pat.indptr, J.indptr)
+                        and np.array_equal(pat.indices, J.indices))
+        same_kernel = all(
+            a.dtype == b.dtype and np.array_equal(a, b)
+            for a, b in ((pat.indptr, kernel.indptr),
+                         (pat.indices, kernel.indices)))
+        if not (same_support and same_kernel):
+            wrong.append((g.nx, g.ny))
+    assert wrong == []
+
+
 @pytest.mark.parametrize("nx,ny", [(24, 6), (60, 8), (120, 12)])
 def test_residual_and_jacobian_bitwise_equal_sparse_formula(nx, ny):
     # the kernel's Jacobian, exact zeros dropped, has the pattern and the

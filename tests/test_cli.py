@@ -14,9 +14,10 @@ from ddrom import binio
 from ddrom.autoencoder import TrainConfig
 from ddrom.burgers import Grid2D, ParameterPoint, solve_monolithic
 from ddrom.cli import _build_parser, dispatch
-from ddrom.driver import build_lsrom, build_nmrom, fit_initializer, solve_rom
+from ddrom.driver import attach_hr, build_lsrom, build_nmrom, \
+    fit_initializer, solve_rom
 from ddrom.partition import build_partition
-from ddrom.snapshots import load
+from ddrom.snapshots import generate, load, sample_grid
 from ddrom.sqp import SqpConfig
 
 
@@ -242,6 +243,32 @@ def test_rom_solve_nmrom(pipeline, tmp_path):
     assert (out / "decoded.bin").exists()
 
 
+def test_rom_solve_hr_from_snapshots_matches_library_bitwise(pipeline,
+                                                            tmp_path):
+    """Without --hr-dir, rom-solve rebuilds collocation HR from the
+    snapshots' residuals, as the library's attach_hr does, and matches the
+    stored HR of hr-build at the same sample count."""
+    argv = ["rom-solve", "--snapshots", pipeline / "snaps",
+            "--maps", pipeline / "pod", "--rom", "lsrom", "--nc", 4,
+            "--hr", "collocation", "--a", 2000, "--lambda", 14,
+            "--tol", "1e-6", "--skip-error"]
+    assert run(*argv, "--hr-samples", 50, "--out", tmp_path / "snap") == 0
+    assert run(*argv, "--hr-dir", pipeline / "hr",
+               "--out", tmp_path / "dir") == 0
+    cli = binio.read_matrices(tmp_path / "snap" / "latent.bin")
+    stored = binio.read_matrices(tmp_path / "dir" / "latent.bin")
+
+    snap = load(pipeline / "snaps")
+    part = build_partition(snap.grid, snap.nsub_x, snap.nsub_y)
+    inst = attach_hr(build_lsrom(part, snap, 6, 4, "wfpc", n_c=4), snap,
+                     "collocation", n_samples=50)
+    sol, _ = solve_rom(fit_initializer(inst, snap), ParameterPoint(2000, 14),
+                       SqpConfig(tol=1e-6), compute_error=False)
+    for key, ref in (("latent", sol.x_latent), ("multipliers", sol.lam)):
+        np.testing.assert_array_equal(cli[key].ravel(), ref)
+        np.testing.assert_array_equal(stored[key].ravel(), ref)
+
+
 @pytest.mark.parametrize("rom, constraint, n_c", [
     ("lsrom", "wfpc", 4), ("lsrom", "srpc", None), ("nmrom", "wfpc", 3)])
 def test_rom_solve_matches_library_bitwise(pipeline, tmp_path, rom,
@@ -306,6 +333,55 @@ def test_benchmark_plan(tmp_path):
     status = rows[0].index("status")
     assert [r[status] for r in rows[1:]].count("absent") == 1
     assert (out / "pareto.csv").exists()
+
+
+NM_PLAN = """\
+[problem]
+nx = 20
+ny = 5
+subdomains = 2x1
+train_grid = 4x3
+a_range = 100:5000
+lam_range = 8:20
+
+[eval]
+params = 2000,14
+tol = 1e-5
+max_iter = 30
+
+[instance nm]
+rom = nmrom
+constraint = wfpc
+n_int = 4
+n_gam = 3
+n_c = 3
+epochs = 40
+seed = 1
+"""
+
+
+def test_benchmark_plan_nmrom_reads_epochs_and_seed(tmp_path):
+    plan = tmp_path / "plan.txt"
+    plan.write_text(NM_PLAN)
+    out = tmp_path / "bench"
+    assert run("benchmark", "--plan", plan, "--out", out) == 0
+    with open(out / "records.csv") as fh:
+        header, row = list(csv.reader(fh))
+    rec = dict(zip(header, row))
+    assert rec["rom"] == "nmrom" and rec["constraint"] == "wfpc"
+
+    grid = Grid2D(20, 5)
+    part = build_partition(grid, 2, 1)
+    snap = generate(grid, sample_grid(4, 3, a_range=(100.0, 5000.0),
+                                      lam_range=(8.0, 20.0)), part)
+    inst = build_nmrom(part, snap, 4, 3, "wfpc", n_c=3,
+                       train_cfg=TrainConfig(epochs=40, seed=1))
+    _, ref = solve_rom(fit_initializer(inst, snap), ParameterPoint(2000, 14),
+                       SqpConfig(tol=1e-5, max_iter=30))
+    assert rec["status"] == ref.status
+    assert int(rec["n_iter"]) == ref.n_iter
+    assert float(rec["error"]) == ref.error
+    assert float(rec["final_merit"]) == ref.final_merit
 
 
 def test_verify_bounds_plan(tmp_path):

@@ -11,7 +11,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
-from ddrom import burgers
+from ddrom import burgers, driver
 from ddrom.autoencoder import TrainConfig
 from ddrom.burgers import Grid2D, ParameterPoint, assemble, exact_state, \
     solve_monolithic
@@ -36,6 +36,7 @@ from ddrom.driver import (
     verify_bounds,
     wfpc_test_matrix,
 )
+from ddrom.errors import ConvergenceError
 from ddrom.hyper import hr_rows_for_subdomain
 from ddrom.partition import assemble_fom_constraints, \
     assemble_rom_constraints, build_partition
@@ -325,7 +326,8 @@ def test_dd_fom_multipliers_are_zero_without_least_squares(monkeypatch):
         raise AssertionError("least squares on a square problem")
 
     monkeypatch.setattr(np.linalg, "lstsq", lstsq)
-    lam = multiplier_least_squares(prob, x0)
+    lam = multiplier_least_squares(
+        prob, eval_gradients(prob, x0, np.zeros(prob.n_mult)))
     assert np.array_equal(lam, np.zeros(prob.n_mult))
 
 
@@ -530,7 +532,9 @@ def test_srpc_decoded_compatibility_nmrom(desk):
 def test_rbf_exact_at_training_points(desk, ls_wfpc):
     _, part, snap = desk
     for k in (0, 11, 23):
-        x0 = init_guess(ls_wfpc, snap.params[k])[0]
+        p = snap.params[k]
+        x0 = init_guess(ls_wfpc, p,
+                        build_problem(ls_wfpc, assemble(part.grid, p)))[0]
         enc = []
         for i in range(part.n_sub):
             enc.append(ls_wfpc.interior_maps[i].encode(
@@ -555,8 +559,9 @@ def test_unfitted_initializer_rejected(desk):
     _, part, snap = desk
     inst = build_lsrom(part, snap, n_int=4, n_gam=3, constraint="wfpc",
                        n_c=3)
+    p = snap.params[0]
     with pytest.raises(ValueError, match="initializer"):
-        init_guess(inst, snap.params[0])
+        init_guess(inst, p, build_problem(inst, assemble(part.grid, p)))
 
 
 def test_multipliers_match_pseudoinverse_oracle(desk, ls_wfpc):
@@ -566,8 +571,8 @@ def test_multipliers_match_pseudoinverse_oracle(desk, ls_wfpc):
     p = snap.params[7]
     prob = build_problem(ls_wfpc, assemble(part.grid, p))
     x0 = ls_wfpc.initializer.query(p)
-    lam = multiplier_least_squares(prob, x0)
     ev = eval_gradients(prob, x0, np.zeros(prob.n_mult))
+    lam = multiplier_least_squares(prob, ev)
     rows, rhs = [], []
     for off, blk, be in zip(prob.offsets, prob.blocks, ev.blocks):
         rows.append(be.con_jac.T)
@@ -586,7 +591,8 @@ def test_multipliers_zero_at_zero_residual():
         [np.concatenate(part.restrict(i, x_star))
          for i in range(part.n_sub)])
     prob = build_problem(inst, assemble(grid, p))
-    lam = multiplier_least_squares(prob, x0)
+    lam = multiplier_least_squares(
+        prob, eval_gradients(prob, x0, np.zeros(prob.n_mult)))
     assert np.abs(lam).max() < 1e-6
 
 
@@ -1112,6 +1118,27 @@ def test_benchmark_sweep_fom_reference_follows_viscosity(tmp_path):
     recs = benchmark_sweep(instances, [p], tmp_path, SqpConfig(tol=1e-6))
     assert own["nu=0.1"] != own["nu=0.2"]
     assert {r.label: r.error for r in recs} == own
+
+
+def test_benchmark_sweep_records_a_failed_solve(monkeypatch, tmp_path):
+    # a ConvergenceError becomes a failed record and a zero-cell summary
+    # row; the sweep goes on to the next parameter
+    def solve_rom(*args, **kwargs):
+        raise ConvergenceError("KKT solve stalled")
+
+    monkeypatch.setattr(driver, "solve_rom", solve_rom)
+    inst = build_dd_fom(build_partition(Grid2D(12, 4), 2, 1))
+    params = [ParameterPoint(300.0, 10.0), ParameterPoint(2000.0, 14.0)]
+    recs = benchmark_sweep({"dd": inst}, params, tmp_path)
+    assert [r.status for r in recs] == ["failed: KKT solve stalled"] * 2
+    assert [(r.a, r.lam) for r in recs] == [(p.a, p.lam) for p in params]
+    with open(tmp_path / "records.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert [r[rows[0].index("status")] for r in rows[1:]] == [
+        "failed: KKT solve stalled"] * 2
+    with open(tmp_path / "pareto.csv") as fh:
+        prow = list(csv.reader(fh))
+    assert prow[1:] == [["dd", "", "", "", "", "", "", "0"]]
 
 
 def test_solve_failure_reported_not_raised(desk, ls_wfpc):

@@ -112,6 +112,19 @@ def test_two_by_two_has_eight_ports_with_corner_triples():
             assert p.size == 2  # one grid node: its u and v copies
 
 
+def test_two_by_two_grid_has_one_node_per_corner_port():
+    # each node of the 2x2 grid is its own subdomain, and the 5-point
+    # stencil ties it to its two edge neighbours, never the diagonal one
+    part = build_partition(Grid2D(nx=2, ny=2), 2, 2)
+    check_partition_laws(part)
+    ports = part.ports.ports
+    assert [p.size for p in ports] == [2, 2, 2, 2]
+    assert sorted(p.members for p in ports) == [
+        (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    for p in ports:
+        assert p.cols[1] == p.cols[0] + 4  # one node's u and v copies
+
+
 def test_box_stencil_reproduces_five_port_layout():
     # With a 9-point box stencil the 2x2 split has 4 edge ports plus one
     # 4-member cross port -- the classic schematic layout.

@@ -162,7 +162,7 @@ def cmd_snapshots(args, t0):
 
 def cmd_train_pod(args, t0):
     snap = load(args.snapshots)
-    part = build_partition(snap.grid, snap.nsub_x, snap.nsub_y)
+    part = snap.partition
     maps = pod_maps(part, snap, args.ni_omega, args.ni_gamma, "wfpc")
     mats = {f"{tag}_{i}": maps[tag][i].Phi for i in range(part.n_sub)
             for tag in ("interior", "interface")}
@@ -180,12 +180,11 @@ def cmd_train_pod(args, t0):
 
 def cmd_train_ae(args, t0):
     snap = load(args.snapshots)
-    part = build_partition(snap.grid, snap.nsub_x, snap.nsub_y)
     n_gam = args.port_n if (args.constraint == "srpc"
                             and args.port_n is not None) else args.ni_gamma
     cfg = TrainConfig(epochs=args.epochs, seed=args.seed)
-    nets = train_nets(part, snap, args.ni_omega, n_gam, args.constraint,
-                      train_cfg=cfg)
+    nets = train_nets(snap.partition, snap, args.ni_omega, n_gam,
+                      args.constraint, train_cfg=cfg)
     with _atomic_dir(args.out) as out:
         for i, net in enumerate(nets["interior"]):
             save_net(out / f"interior_{i}.bin", net)
@@ -202,9 +201,8 @@ def cmd_train_ae(args, t0):
 
 def cmd_hr_build(args, t0):
     snap = load(args.snapshots)
-    part = build_partition(snap.grid, snap.nsub_x, snap.nsub_y)
     mats, counts = {}, {}
-    for i, sub in enumerate(part.subdomains):
+    for i, sub in enumerate(snap.partition.subdomains):
         rows, basis = hr_sample(snap.residual[i], sub.n_res, args.samples)
         mats[f"rows_{i}"] = rows.astype(float)
         mats[f"basis_{i}"] = basis
@@ -265,8 +263,7 @@ def _build_instance(part, snap, args):
 
 def cmd_rom_solve(args, t0):
     snap = load(args.snapshots)
-    part = build_partition(snap.grid, snap.nsub_x, snap.nsub_y)
-    inst = _build_instance(part, snap, args)
+    inst = _build_instance(snap.partition, snap, args)
     inst = fit_initializer(inst, snap)
     p = ParameterPoint(args.a, args.lam)
     sol, rec = solve_rom(inst, p, SqpConfig(tol=args.tol,
@@ -357,13 +354,12 @@ def _plan_problem(plan):
     na, nl = _parse_dims(str(prob.get("train_grid", "10x10")), "train_grid")
     a_rng = _parse_range(str(prob.get("a_range", "1:10000")), "a_range")
     l_rng = _parse_range(str(prob.get("lam_range", "5:25")), "lam_range")
-    part = build_partition(grid, sx, sy)
-    snap = generate(grid, sample_grid(na, nl, a_range=a_rng,
-                                      lam_range=l_rng), part)
-    return part, snap
+    return generate(grid, sample_grid(na, nl, a_range=a_rng,
+                                      lam_range=l_rng),
+                    build_partition(grid, sx, sy))
 
 
-def _plan_instance(part, snap, spec):
+def _plan_instance(snap, spec):
     rom = spec.get("rom", "lsrom")
     if rom == "none":
         return None
@@ -374,10 +370,10 @@ def _plan_instance(part, snap, spec):
         common["n_c"] = int(spec["n_c"]) if "n_c" in spec else None
         common["wfpc_seed"] = int(spec.get("wfpc_seed", 0))
     if rom == "lsrom":
-        inst = build_lsrom(part, snap, **common)
+        inst = build_lsrom(snap.partition, snap, **common)
     elif rom == "nmrom":
         inst = build_nmrom(
-            part, snap, **common,
+            snap.partition, snap, **common,
             train_cfg=TrainConfig(epochs=int(spec.get("epochs", 2000)),
                                   seed=int(spec.get("seed", 0))))
     else:
@@ -402,11 +398,11 @@ def _plan_eval_params(plan, snap):
 
 def cmd_benchmark(args, t0):
     plan = _read_plan(args.plan)
-    part, snap = _plan_problem(plan)
+    snap = _plan_problem(plan)
     instances = {}
     for label, spec in plan["instances"].items():
         _log("benchmark", f"building instance {label}")
-        instances[label] = _plan_instance(part, snap, spec)
+        instances[label] = _plan_instance(snap, spec)
     params = _plan_eval_params(plan, snap)
     ev = plan.get("eval", {})
     cfg = SqpConfig(tol=float(ev.get("tol", 1e-4)),
@@ -421,16 +417,19 @@ def cmd_benchmark(args, t0):
 
 
 def cmd_verify_bounds(args, t0):
+    if (args.a is None) != (args.lam is None):
+        raise ValueError("--a and --lambda go together; missing "
+                         + ("--a" if args.a is None else "--lambda"))
     plan = _read_plan(args.plan)
-    part, snap = _plan_problem(plan)
+    snap = _plan_problem(plan)
     labels = list(plan["instances"])
     label = args.instance or labels[0]
     if label not in plan["instances"]:
         raise ValueError(f"plan has no [instance {label}]")
-    inst = _plan_instance(part, snap, plan["instances"][label])
+    inst = _plan_instance(snap, plan["instances"][label])
     if inst is None:
         raise ValueError(f"instance {label} is declared absent in the plan")
-    if args.a is not None and args.lam is not None:
+    if args.a is not None:
         p = ParameterPoint(args.a, args.lam)
     else:
         p = _plan_eval_params(plan, snap)[0]

@@ -1,9 +1,11 @@
-"""Parameter sweeps, snapshot restriction, and bit-exact persistence.
+"""Parameter sweeps, snapshot sets, and bit-exact persistence.
 
 A snapshot set holds one converged FOM solution per training parameter,
-restricted top-down to per-subdomain interior/interface matrices and
-per-port matrices, plus the Newton residual history harvested for
-hyper-reduction bases.
+each stored once as a column of the full-state matrix, together with the
+partition it was generated on and the Newton residual history harvested
+per subdomain for hyper-reduction bases.  The per-subdomain
+interior/interface matrices and the per-port matrices are row
+restrictions of the states, derived through that partition at first use.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +21,7 @@ import numpy as np
 from . import binio
 from .burgers import A_RANGE, LAM_RANGE, Grid2D, ParameterPoint, solve_monolithic
 from .errors import ConvergenceError, FormatError
-from .partition import Partition
+from .partition import Partition, build_partition
 
 
 def sample_grid(na: int, nl: int, a_range=A_RANGE, lam_range=LAM_RANGE):
@@ -68,58 +71,66 @@ class NormalizationStats:
 
 @dataclass(eq=False)
 class SnapshotSet:
-    """Restricted training data for one (grid, partition) configuration."""
+    """Converged FOM states of one sweep, each stored once, on a partition.
 
-    grid: Grid2D
-    nsub_x: int
-    nsub_y: int
+    ``interior[i]``, ``interface[i]`` and ``port[j]`` are the rows of
+    ``states`` at subdomain ``i``'s or port ``j``'s columns, built at first
+    access; ``residual`` is FOM output, harvested per subdomain.
+    """
+
+    partition: Partition
     params: list                       # ParameterPoint per column
     states: np.ndarray                 # full states, N_x x n_mu
-    interior: dict                     # i -> N_i_interior x n_mu
-    interface: dict                    # i -> N_i_interface x n_mu
-    port: dict                         # j -> N_j_p x n_mu
     residual: dict                     # i -> N_i_res x (total Newton iters)
     failures: list = field(default_factory=list)
     newton_iters: list = field(default_factory=list)
 
     @property
+    def grid(self) -> Grid2D:
+        return self.partition.grid
+
+    @property
     def n_mu(self) -> int:
         return len(self.params)
 
-    def check_port_consistency(self, partition: Partition):
-        """Exact port/interface agreement for every port member."""
-        for p in partition.ports.ports:
-            for i in p.members:
-                pos = partition.ports.member_positions(p.index, i)
-                if not np.array_equal(self.port[p.index],
-                                      self.interface[i][pos, :]):
-                    raise AssertionError(
-                        f"port {p.index} disagrees with subdomain {i}")
+    @cached_property
+    def interior(self) -> dict:
+        return {s.index: self.states[s.interior_cols]
+                for s in self.partition.subdomains}
+
+    @cached_property
+    def interface(self) -> dict:
+        return {s.index: self.states[s.interface_cols]
+                for s in self.partition.subdomains}
+
+    @cached_property
+    def port(self) -> dict:
+        return {p.index: self.states[p.cols]
+                for p in self.partition.ports.ports}
 
 
 def generate(grid: Grid2D, params, partition: Partition,
              tol: float = 1e-8) -> SnapshotSet:
-    """Solve the FOM across ``params`` and restrict the results.
+    """Solve the FOM across ``params`` on ``partition``'s grid.
 
     Consecutive solves warm-start from the previous converged state (the
     parameter list from :func:`sample_grid` varies lam fastest, so
     neighbors are close).  Non-convergent parameters are recorded in
-    ``failures`` and skipped with a warning.
+    ``failures`` and skipped with a warning.  ``grid`` must be
+    ``partition.grid``, through which the set reads its restrictions.
     """
-    cols = []
-    kept_params = []
-    failures = []
-    newton_iters = []
+    if grid != partition.grid:
+        raise ValueError(f"grid {grid} is not the partition's grid")
+    cols, kept_params, failures, newton_iters = [], [], [], []
     res_cols = {s.index: [] for s in partition.subdomains}
-    prev = None
     for p in params:
         try:
-            x, trace = solve_monolithic(grid, p, init=prev, tol=tol)
+            x, trace = solve_monolithic(
+                grid, p, init=cols[-1] if cols else None, tol=tol)
         except ConvergenceError as exc:
             warnings.warn(f"FOM solve failed at ({p.a}, {p.lam}): {exc}")
             failures.append((p, str(exc)))
             continue
-        prev = x
         cols.append(x)
         kept_params.append(p)
         newton_iters.append(trace.niter)
@@ -132,49 +143,30 @@ def generate(grid: Grid2D, params, partition: Partition,
     if not cols:
         raise ConvergenceError("every parameter in the sweep failed")
 
-    states = np.column_stack(cols)
-    interior = {}
-    interface = {}
-    for sub in partition.subdomains:
-        interior[sub.index] = states[sub.interior_cols, :]
-        interface[sub.index] = states[sub.interface_cols, :]
-    port = {}
-    for pt in partition.ports.ports:
-        i = pt.members[0]
-        pos = partition.ports.member_positions(pt.index, i)
-        port[pt.index] = interface[i][pos, :]
     residual = {
         i: (np.column_stack(v) if v else np.zeros((partition.subdomains[i].n_res, 0)))
         for i, v in res_cols.items()}
-
-    out = SnapshotSet(grid=grid, nsub_x=partition.nsub_x,
-                      nsub_y=partition.nsub_y, params=kept_params,
-                      states=states, interior=interior, interface=interface,
-                      port=port, residual=residual, failures=failures,
-                      newton_iters=newton_iters)
-    out.check_port_consistency(partition)
-    return out
+    return SnapshotSet(partition=partition, params=kept_params,
+                       states=np.column_stack(cols), residual=residual,
+                       failures=failures, newton_iters=newton_iters)
 
 
 def save(snap: SnapshotSet, directory) -> None:
-    """Write ``snapshots.bin``, ``residuals.bin`` and ``meta.txt``."""
+    """Write ``snapshots.bin`` (exactly ``params`` and ``states``),
+    ``residuals.bin`` (one ``residual_i`` per subdomain) and ``meta.txt``
+    (the grid, the subdomain counts and the sweep's Newton counts)."""
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
-    mats = {"params": np.array([[p.a for p in snap.params],
-                                [p.lam for p in snap.params]]),
-            "states": snap.states}
-    for i in sorted(snap.interior):
-        mats[f"interior_{i}"] = snap.interior[i]
-        mats[f"interface_{i}"] = snap.interface[i]
-    for j in sorted(snap.port):
-        mats[f"port_{j}"] = snap.port[j]
-    binio.write_matrices(d / "snapshots.bin", mats)
+    binio.write_matrices(d / "snapshots.bin", {
+        "params": np.array([[p.a for p in snap.params],
+                            [p.lam for p in snap.params]]),
+        "states": snap.states})
     binio.write_matrices(d / "residuals.bin",
                          {f"residual_{i}": snap.residual[i]
                           for i in sorted(snap.residual)})
     meta = {
         "nx": snap.grid.nx, "ny": snap.grid.ny, "nu": repr(snap.grid.nu),
-        "nsub_x": snap.nsub_x, "nsub_y": snap.nsub_y,
+        "nsub_x": snap.partition.nsub_x, "nsub_y": snap.partition.nsub_y,
         "n_mu": snap.n_mu,
         "newton_iters": ",".join(map(str, snap.newton_iters)),
         "failures": ";".join(f"({p.a},{p.lam})" for p, _ in snap.failures),
@@ -184,31 +176,25 @@ def save(snap: SnapshotSet, directory) -> None:
 
 
 def load(directory) -> SnapshotSet:
-    """Read a directory written by :func:`save`."""
+    """Read a directory written by :func:`save`, rebuilding its partition
+    from ``meta.txt``.  Any matrix in ``snapshots.bin`` besides ``params``
+    and ``states`` is a :class:`FormatError`."""
     d = Path(directory)
     meta = binio.read_meta(d / "meta.txt")
     mats = binio.read_matrices(d / "snapshots.bin")
     res = binio.read_matrices(d / "residuals.bin")
+    for name in mats:
+        if name not in ("params", "states"):
+            raise FormatError(f"unexpected matrix {name!r} in snapshots.bin")
     grid = Grid2D(nx=int(meta["nx"]), ny=int(meta["ny"]),
                   nu=float(meta["nu"]))
-    pm = mats.pop("params")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # tolerate out-of-box stored params
-        params = [ParameterPoint(a, l) for a, l in pm.T]
-    interior, interface, port = {}, {}, {}
-    for name, arr in mats.items():
-        if name.startswith("interior_"):
-            interior[int(name.split("_")[1])] = arr
-        elif name.startswith("interface_"):
-            interface[int(name.split("_")[1])] = arr
-        elif name.startswith("port_"):
-            port[int(name.split("_")[1])] = arr
-        elif name != "states":
-            raise FormatError(f"unexpected matrix {name!r} in snapshots.bin")
+        params = [ParameterPoint(a, l) for a, l in mats["params"].T]
     iters = meta.get("newton_iters", "")
     return SnapshotSet(
-        grid=grid, nsub_x=int(meta["nsub_x"]), nsub_y=int(meta["nsub_y"]),
-        params=params, states=mats["states"], interior=interior,
-        interface=interface, port=port,
+        partition=build_partition(grid, int(meta["nsub_x"]),
+                                  int(meta["nsub_y"])),
+        params=params, states=mats["states"],
         residual={int(k.split("_")[1]): v for k, v in res.items()},
         failures=[], newton_iters=[int(t) for t in iters.split(",") if t])

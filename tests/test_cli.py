@@ -259,7 +259,7 @@ def test_rom_solve_hr_from_snapshots_matches_library_bitwise(pipeline,
     stored = binio.read_matrices(tmp_path / "dir" / "latent.bin")
 
     snap = load(pipeline / "snaps")
-    part = build_partition(snap.grid, snap.nsub_x, snap.nsub_y)
+    part = snap.partition
     inst = attach_hr(build_lsrom(part, snap, 6, 4, "wfpc", n_c=4), snap,
                      "collocation", n_samples=50)
     sol, _ = solve_rom(fit_initializer(inst, snap), ParameterPoint(2000, 14),
@@ -285,7 +285,7 @@ def test_rom_solve_matches_library_bitwise(pipeline, tmp_path, rom,
     cli = binio.read_matrices(tmp_path / "r" / "latent.bin")
 
     snap = load(pipeline / "snaps")
-    part = build_partition(snap.grid, snap.nsub_x, snap.nsub_y)
+    part = snap.partition
     if rom == "lsrom":
         inst = build_lsrom(part, snap, 6, 4, constraint, n_c=n_c)
     else:
@@ -393,6 +393,26 @@ def test_verify_bounds_plan(tmp_path):
     text = (out / "bounds.txt").read_text()
     assert "estimates" in text and "seed=3" in text
     assert "kappa_lower" in text
+
+
+@pytest.mark.parametrize("given, missing", [(("--a", 2000), "--lambda"),
+                                             (("--lambda", 14), "--a")])
+def test_verify_bounds_needs_both_a_and_lambda(tmp_path, capsys, monkeypatch,
+                                              given, missing):
+    """One of --a/--lambda is an error naming the other, raised before
+    any snapshot sweep (not a silent solve at the plan's first point)."""
+    plan = tmp_path / "plan.txt"
+    plan.write_text(PLAN)
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("snapshot sweep ran")
+
+    monkeypatch.setattr("ddrom.cli.generate", no_sweep)
+    out = tmp_path / "bounds"
+    assert run("verify-bounds", "--plan", plan, *given, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"missing {missing}" in err
+    assert "snapshot sweep" not in err and not out.exists()
 
 
 def test_bad_plan_reports_usefully(tmp_path, capsys):

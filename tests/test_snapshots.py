@@ -11,6 +11,7 @@ from ddrom.errors import FormatError
 from ddrom.partition import build_partition
 from ddrom.snapshots import (
     NormalizationStats,
+    SnapshotSet,
     generate,
     load,
     sample_grid,
@@ -139,7 +140,66 @@ def test_generate_basic_shapes(small_sweep):
     for sub in part.subdomains:
         assert snap.interior[sub.index].shape == (sub.n_interior, 9)
         assert snap.interface[sub.index].shape == (sub.n_interface, 9)
-    snap.check_port_consistency(part)
+    assert snap.grid == grid and snap.partition is part
+    # every member's interface holds its ports' rows exactly
+    for p in part.ports.ports:
+        for i in p.members:
+            pos = part.ports.member_positions(p.index, i)
+            np.testing.assert_array_equal(snap.port[p.index],
+                                          snap.interface[i][pos, :])
+
+
+def test_generate_rejects_a_partition_of_another_grid():
+    # both grids have 96 unknowns, so the other grid's index sets would
+    # restrict these states without an error
+    with pytest.raises(ValueError, match="partition's grid"):
+        generate(Grid2D(8, 6), sample_grid(2, 2),
+                 build_partition(Grid2D(12, 4), 2, 2))
+
+
+def eager_restriction(part, states):
+    """The restriction ``generate`` once stored: interior and interface
+    rows of the states, and each port's rows read through every member's
+    interface (all members must agree)."""
+    interior = {s.index: states[s.interior_cols, :] for s in part.subdomains}
+    interface = {s.index: states[s.interface_cols, :]
+                 for s in part.subdomains}
+    port = {}
+    for pt in part.ports.ports:
+        for i in pt.members:
+            pos = part.ports.member_positions(pt.index, i)
+            rows = interface[i][pos, :]
+            ref = port.setdefault(pt.index, rows)
+            assert ref.tobytes() == rows.tobytes()
+    return {"interior": interior, "interface": interface, "port": port}
+
+
+def assert_derived_bitwise(snap, reference):
+    for name, ref in reference.items():
+        got = getattr(snap, name)
+        assert sorted(got) == sorted(ref), name
+        for k, arr in ref.items():
+            assert got[k].dtype == arr.dtype == np.float64
+            assert got[k].shape == arr.shape
+            assert got[k].tobytes() == arr.tobytes(), (name, k)
+
+
+PARTITIONED_GRIDS = (
+    [((nx, ny), sub) for nx in range(2, 7) for ny in range(2, 7)
+     for sub in ((1, 2), (2, 1), (2, 2))]
+    + [((60, 8), (2, 2)), ((120, 12), (2, 2))])
+
+
+@pytest.mark.parametrize("shape, subs", PARTITIONED_GRIDS)
+def test_derived_restrictions_equal_eager_restriction(shape, subs):
+    part = build_partition(Grid2D(*shape), *subs)
+    states = np.random.default_rng(shape[0] * 10 + shape[1]).normal(
+        size=(part.grid.ndof, 5))
+    snap = SnapshotSet(partition=part, params=[None] * 5, states=states,
+                       residual={})
+    assert_derived_bitwise(snap, eager_restriction(part, states))
+    # built once, at first access
+    assert snap.interior is snap.interior and snap.port is snap.port
 
 
 def test_generate_residual_snapshot_counts(small_sweep):
@@ -200,6 +260,7 @@ def test_save_load_round_trip(tmp_path, small_sweep):
     for i in snap.interior:
         np.testing.assert_array_equal(back.interior[i], snap.interior[i])
         np.testing.assert_array_equal(back.residual[i], snap.residual[i])
+    assert back.newton_iters == snap.newton_iters
     assert [(p.a, p.lam) for p in back.params] == [
         (p.a, p.lam) for p in snap.params]
     # second save emits identical bytes
@@ -207,3 +268,45 @@ def test_save_load_round_trip(tmp_path, small_sweep):
     save(back, d2)
     assert (d1 / "snapshots.bin").read_bytes() == (d2 / "snapshots.bin").read_bytes()
     assert (d1 / "residuals.bin").read_bytes() == (d2 / "residuals.bin").read_bytes()
+
+
+def test_save_writes_only_params_and_states(tmp_path, small_sweep):
+    _, _, snap = small_sweep
+    save(snap, tmp_path / "s")
+    mats = binio.read_matrices(tmp_path / "s" / "snapshots.bin")
+    assert list(mats) == ["params", "states"]
+    assert mats["states"].tobytes() == snap.states.tobytes()
+    assert list(binio.read_matrices(tmp_path / "s" / "residuals.bin")) == [
+        f"residual_{i}" for i in sorted(snap.residual)]
+
+
+def test_load_rejects_stored_restrictions(tmp_path, small_sweep):
+    _, _, snap = small_sweep
+    save(snap, tmp_path / "s")
+    path = tmp_path / "s" / "snapshots.bin"
+    mats = binio.read_matrices(path)
+    mats["interior_0"] = snap.interior[0]
+    binio.write_matrices(path, mats)
+    with pytest.raises(FormatError, match="interior_0"):
+        load(tmp_path / "s")
+
+
+def test_loaded_set_derives_bitwise_the_same_matrices(tmp_path,
+                                                      small_sweep):
+    _, part, snap = small_sweep
+    save(snap, tmp_path / "s")
+    back = load(tmp_path / "s")
+    assert back.grid == snap.grid
+    assert (back.partition.nsub_x, back.partition.nsub_y) == (
+        part.nsub_x, part.nsub_y)
+    for mine, ref in zip(back.partition.subdomains, part.subdomains):
+        for name in ("res_rows", "interior_cols", "interface_cols"):
+            np.testing.assert_array_equal(getattr(mine, name),
+                                          getattr(ref, name))
+    assert len(back.partition.ports.ports) == len(part.ports.ports)
+    for mine, ref in zip(back.partition.ports.ports, part.ports.ports):
+        assert mine.members == ref.members
+        np.testing.assert_array_equal(mine.cols, ref.cols)
+    assert_derived_bitwise(back, {name: getattr(snap, name) for name in
+                                  ("interior", "interface", "port",
+                                   "residual")})

@@ -218,6 +218,43 @@ def _init_autoencoder(mask: BandedMask, n: int, activation: str,
                        norm=norm, mask=mask)
 
 
+def _banded_gradient(W: sp.csr_matrix, mask: BandedMask, wide_rows: bool):
+    """``grad(P, Q)``: ``sum_b P[i, b] Q[k, b]`` for every stored entry
+    ``(i, k)`` of the layer ``W`` masked by ``mask``, in CSR order, bitwise
+    ``np.einsum("kb,kb->k", P[i], Q[k])`` over the gathered rows.
+
+    The wide index (``i`` if ``wide_rows``, else ``k``) is ``shift`` times
+    the narrow one ``r`` plus one of the mask's ``3 band`` offsets, so one
+    einsum pairs the narrow operand with a strided view of the zero-padded
+    wide one whose ``[k, j, r]`` is wide row ``r shift + (k - 1) band shift
+    + j``.  Two index arrays, built here once, pick the sums into CSR
+    order.
+    """
+    band, shift = mask.band, mask.shift
+    bs = band * shift
+    offsets = (np.array([-1, 0, 1])[:, None] * bs + np.arange(band)).ravel()
+    coo = W.tocoo()
+    wide, narrow = (coo.row, coo.col) if wide_rows else (coo.col, coo.row)
+    pick = np.searchsorted(offsets, wide - shift * narrow)
+
+    def grad(P, Q):
+        wide_op, narrow_op = (P, Q) if wide_rows else (Q, P)
+        # an F-ordered batch would take einsum's other inner loop
+        narrow_op = np.ascontiguousarray(narrow_op)
+        n, B = narrow_op.shape
+        padded = np.zeros((2 * bs + n * shift + band - 1, B))
+        padded[bs:bs + wide_op.shape[0]] = wide_op
+        row = padded.strides[0]
+        view = np.lib.stride_tricks.as_strided(
+            padded, shape=(3, band, n, B),
+            strides=(bs * row, row, shift * row, padded.strides[1]))
+        sums = (np.einsum("kjrb,rb->kjr", view, narrow_op) if wide_rows
+                else np.einsum("rb,kjrb->kjr", narrow_op, view))
+        return sums.reshape(3 * band, n)[pick, narrow]
+
+    return grad
+
+
 class _Adam:
     def __init__(self, shapes, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
@@ -265,11 +302,8 @@ def train(X: np.ndarray, mask: BandedMask, n: int,
     rng = np.random.default_rng(cfg.seed)
     ae = _init_autoencoder(mask, n, activation, norm, rng)
 
-    # gather index arrays for the two sparse gradients
-    g_rows = np.repeat(np.arange(N), np.diff(ae.W2g.indptr))
-    g_cols = ae.W2g.indices
-    h_rows = np.repeat(np.arange(mask.width), np.diff(ae.W1h.indptr))
-    h_cols = ae.W1h.indices
+    grad_W2g = _banded_gradient(ae.W2g, mask, wide_rows=False)
+    grad_W1h = _banded_gradient(ae.W1h, mask, wide_rows=True)
 
     params = [ae.W2g.data, ae.W1h.data, ae.W2h, ae.W1g, ae.b1g, ae.b1h]
     opt = _Adam([p.shape for p in params], LEARNING_RATE)
@@ -292,7 +326,7 @@ def train(X: np.ndarray, mask: BandedMask, n: int,
         Xb, Z1, S1, A1, XH, Z2, S2, A2, R = cache
         B = Xb.shape[1]
         dY = (2.0 / B) * R
-        gW2g = np.einsum("kb,kb->k", dY[g_rows], A2[g_cols])
+        gW2g = grad_W2g(dY, A2)
         dA2 = ae.W2g.T @ dY
         dZ2 = dA2 * _act_deriv(activation, Z2, S2)
         gW1g = dZ2 @ XH.T
@@ -301,7 +335,7 @@ def train(X: np.ndarray, mask: BandedMask, n: int,
         gW2h = dXH @ A1.T
         dA1 = ae.W2h.T @ dXH
         dZ1 = dA1 * _act_deriv(activation, Z1, S1)
-        gW1h = np.einsum("kb,kb->k", dZ1[h_rows], Xb[h_cols])
+        gW1h = grad_W1h(dZ1, Xb)
         gb1h = dZ1.sum(axis=1)
         return [gW2g, gW1h, gW2h, gW1g, gb1g, gb1h]
 

@@ -39,7 +39,7 @@ from .partition import Partition, RestrictedResidual, \
     assemble_fom_constraints, assemble_rom_constraints
 from .pod import LinearMap, pod, port_interface_basis
 from .sqp import SqpBlock, SqpConfig, SqpEval, SqpProblem, SqpResult, \
-    eval_gradients, is_square, iterate
+    StepCache, eval_gradients, is_square, iterate
 
 BOUND_REL_SCALE = 0.05  # verify_bounds' latent perturbation, relative
 MASK = (5, 5)         # (band, shift) of the Swish interior/interface nets
@@ -114,9 +114,12 @@ class RomInstance:
     hr: list = field(repr=False, default=None)
     initializer: RbfInitializer | None = field(repr=False, default=None)
     provenance: dict = field(default_factory=dict)
-    # per-subdomain evaluation structure, built by the first build_problem;
-    # not an init field, so dataclasses.replace starts with an empty one
+    # per-subdomain evaluation structure, built by the first build_problem,
+    # and the SQP step's symbolic part, filled by the first solve; not init
+    # fields, so dataclasses.replace starts with empty ones
     _structure: list | None = field(repr=False, default=None, init=False)
+    _step: StepCache = field(repr=False, default_factory=StepCache,
+                             init=False)
 
     def __post_init__(self):
         subs = self.partition.subdomains
@@ -438,6 +441,7 @@ def build_problem(instance: RomInstance, ops: FomOperators) -> SqpProblem:
     and reused; each call binds only the boundary data of ``ops``.  The
     decomposed FOM's blocks (CSR identity maps) return ``R`` and ``C`` as
     CSR, for the Newton step of ``[R; C]``; ROM blocks return both dense.
+    Every problem of the instance shares its :class:`sqp.StepCache`.
     """
     part = instance.partition
     if ops.grid != part.grid:
@@ -473,7 +477,7 @@ def build_problem(instance: RomInstance, ops: FomOperators) -> SqpProblem:
 
         blocks.append(SqpBlock(instance.interior_maps[i].latent_dim,
                                gam_map.latent_dim, evaluate))
-    return SqpProblem(blocks, instance.n_mult)
+    return SqpProblem(blocks, instance.n_mult, instance._step)
 
 
 # -- initialization ------------------------------------------------------

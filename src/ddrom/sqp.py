@@ -32,13 +32,22 @@ kind of the blocks' Jacobians ``R_i`` and ``C_i``:
   R s_p)``.  The square ``R Z`` is factored by a sparse LU, without
   squaring its condition number in ``R' R``; a singular factor raises
   :class:`ConvergenceError`, and the driver skips the multiplier least
-  squares, which could affect no step;
+  squares, which could affect no step.  What only the sparsity decides
+  is kept in a :class:`StepCache` across the problems of one instance:
+  the copy labels and ``C``, the pattern of ``R Z`` and the map that
+  gathers its values, and the column ordering COLAMD computes for the
+  first factor, which every later factor reuses.  An entry is rebuilt
+  when the ``C_i`` objects or the ``R_i`` index arrays it was built from
+  change;
 * all dense (the ROMs): the dense normal-form KKT system
   ``[[blockdiag(R_i' R_i), C'], [C, 0]]``, regularized once by
   ``+delta I`` if its solve fails;
 * anything else (a non-square sparse problem such as the under-determined
   decomposed FOM with hyper-reduction, or sparse and dense blocks mixed)
   raises ``ValueError`` at its first solve.
+
+A factor's smallest pivot is computed only when an error or warning
+message prints it.
 """
 
 from __future__ import annotations
@@ -78,8 +87,44 @@ class SqpBlock:
     evaluate: object
 
 
+class StepCache:
+    """What the SQP step needs that only the blocks' sparsity decides,
+    built at the first evaluation or solve that needs it and kept across
+    the problems of one instance (``SqpProblem(..., cache)``); per
+    iteration only values change.
+
+    * per block, a sparse ``C_i'`` as CSR, for the Lagrangian gradient;
+    * the copy labels and the stacked ``C`` of a square problem
+      (:func:`_copy_labels`);
+    * the CSC pattern of ``R Z`` and the map from the blocks' concatenated
+      ``R_i.data`` to its values (:func:`_rz_matrix`);
+    * SuperLU's column ordering of ``R Z``, COLAMD's from its first factor
+      (:func:`_rz_factor`).
+
+    Each entry is checked against what it was built from, the ``C_i``
+    objects and the ``R_i`` index arrays, and is rebuilt, with what
+    derives from it, when they differ.
+    """
+
+    def __init__(self):
+        self.transposes = {}    # block index -> (C_i, C_i' as CSR)
+        self.copies = None      # (layout, C_i objects, labels, C)
+        self.rz = None          # (labels, R_i patterns, pattern, gathers)
+        self.ordering = None    # (perm_c, permuted pattern, gather)
+
+    def transpose(self, i: int, C):
+        """``C'`` of block ``i``'s constraint Jacobian ``C``: a view for a
+        dense ``C``, a CSR formed once per sparse ``C`` object."""
+        if not sp.issparse(C):
+            return C.T
+        hit = self.transposes.get(i)
+        if hit is None or hit[0] is not C:
+            hit = self.transposes[i] = (C, C.T.tocsr())
+        return hit[1]
+
+
 class SqpProblem:
-    def __init__(self, blocks, n_mult: int):
+    def __init__(self, blocks, n_mult: int, cache: StepCache | None = None):
         if not blocks:
             raise ValueError("need at least one block")
         if n_mult < 0:
@@ -92,7 +137,7 @@ class SqpProblem:
             self.offsets.append(pos)
             pos += b.n_int + b.n_gam
         self.n_primal = pos
-        self._copies = None     # _copy_labels' cache
+        self.cache = StepCache() if cache is None else cache
 
     def split(self, x):
         """Per-block (x_int, x_gam) views of the stacked vector."""
@@ -159,11 +204,10 @@ def eval_gradients(prob: SqpProblem, x: np.ndarray,
         except Exception as exc:
             raise RuntimeError(f"evaluation failed in block {i}") from exc
         dt = time.perf_counter() - t0
-        if not sp.issparse(R):
-            R = np.asarray(R, dtype=float)
+        R = R.tocsr() if sp.issparse(R) else np.asarray(R, dtype=float)
         cval = np.asarray(cval, dtype=float)
-        if not sp.issparse(cjac):
-            cjac = np.atleast_2d(np.asarray(cjac, dtype=float))
+        cjac = (cjac.tocsr() if sp.issparse(cjac)
+                else np.atleast_2d(np.asarray(cjac, dtype=float)))
         if cval.shape != (prob.n_mult,) or cjac.shape != (prob.n_mult,
                                                           block.n_gam):
             raise ValueError(f"block {i} constraint has inconsistent shape")
@@ -177,10 +221,19 @@ def _gradients(prob: SqpProblem, blocks, con, lam) -> SqpEval:
     ``con``) with the Lagrangian gradient formed at the multipliers
     ``lam``; no block is evaluated."""
     grad_f, rho = np.zeros(prob.n_primal), np.zeros(prob.n_primal)
-    for off, block, be in zip(prob.offsets, prob.blocks, blocks):
-        grad = be.R.T @ be.Br
+    for i, (off, block, be) in enumerate(zip(prob.offsets, prob.blocks,
+                                             blocks)):
+        R = be.R
+        if sp.issparse(R):
+            # R' Br without a transposed wrapper, each entry summed over
+            # ascending rows like scipy's R.T @ Br
+            rows = np.repeat(np.arange(R.shape[0]), np.diff(R.indptr))
+            grad = np.bincount(R.indices, R.data * be.Br[rows],
+                               minlength=R.shape[1])
+        else:
+            grad = R.T @ be.Br
         grad_f[off:off + grad.size] = grad
-        grad[block.n_int:] += be.con_jac.T @ lam
+        grad[block.n_int:] += prob.cache.transpose(i, be.con_jac) @ lam
         rho[off:off + grad.size] = grad
     return SqpEval(grad_f=grad_f, rho=rho, con=con, blocks=blocks,
                    block_max_seconds=max(b.seconds for b in blocks),
@@ -232,11 +285,14 @@ def _copy_labels(prob: SqpProblem, ev: SqpEval):
     square problem and, per unknown, its copy: a connected component of the
     graph whose edges are ``C``'s rows, so ``Z = I[labels]`` spans ``C``'s
     null space.  ``ValueError`` unless every row of ``C`` is one +1 and one
-    -1.  Cached on ``prob`` while its blocks return the same ``C_i``."""
+    -1.  Kept in ``prob.cache`` while the blocks return the same ``C_i``
+    objects."""
     cons = [be.con_jac for be in ev.blocks]
-    if prob._copies and all(a is b for a, b in zip(prob._copies[0], cons)):
-        return prob._copies[1:]
     n, m = prob.n_primal, prob.n_mult
+    layout = (tuple(prob.offsets), n, m)
+    hit = prob.cache.copies
+    if hit and hit[0] == layout and all(a is b for a, b in zip(hit[1], cons)):
+        return hit[2:]
     C = sp.hstack([M for b, C_i in zip(prob.blocks, cons)
                    for M in (sp.csr_matrix((m, b.n_int)), C_i)], format="csr")
     if np.any(np.diff(C.indptr) != 2) or np.any(
@@ -249,46 +305,114 @@ def _copy_labels(prob: SqpProblem, ev: SqpEval):
     if n_copies != n - m:
         raise ConvergenceError(f"[R; C] is singular: C leaves {n_copies} "
                                f"copies for {n - m} residual rows")
-    prob._copies = (cons, labels, C)
+    prob.cache.copies = (layout, cons, labels, C)
     return labels, C
 
 
+def _rz_pattern(prob: SqpProblem, Rs, labels):
+    """The parts of ``R Z`` that only the ``R_i`` patterns fix: its CSC
+    index arrays (duplicates summed, rows ascending per column) and, into
+    the concatenated ``R_i.data``, the entry that starts each value and the
+    ``(value, entry)`` pairs added to it, in ``R_i.data`` order as scipy's
+    ``sum_duplicates`` adds them."""
+    n = prob.n_primal - prob.n_mult
+    starts = np.cumsum([0] + [R.shape[0] for R in Rs])
+    rows = np.concatenate([k + np.repeat(np.arange(R.shape[0]),
+                                         np.diff(R.indptr))
+                           for k, R in zip(starts, Rs)])
+    cols = np.concatenate([labels[off + R.indices]
+                           for off, R in zip(prob.offsets, Rs)])
+    order = np.lexsort((rows, cols))        # stable: duplicates keep order
+    key = cols[order].astype(np.int64) * n + rows[order]
+    first = np.concatenate([[True], key[1:] != key[:-1]])
+    value = np.cumsum(first) - 1
+    # built through the constructor once, so the index arrays already have
+    # the dtype scipy picks and the per-call wrap does not convert them
+    pattern = sp.csc_matrix((np.zeros(first.sum()), rows[order][first],
+                             np.concatenate([[0], np.cumsum(np.bincount(
+                                 cols[order][first], minlength=n))])),
+                            shape=(n, n))
+    return pattern, order[first], value[~first], order[~first]
+
+
 def _rz_matrix(prob: SqpProblem, ev: SqpEval, labels):
-    """``R Z`` as CSC: the blocks' ``R_i`` stacked as CSR, each column
-    relabelled to its copy (``Z`` is never formed)."""
-    Rs = [be.R.tocsr() for be in ev.blocks]
-    starts = np.cumsum([0] + [R.nnz for R in Rs])
-    n_res = prob.n_primal - prob.n_mult
-    return sp.csr_matrix((
-        np.concatenate([R.data for R in Rs]),
-        np.concatenate([labels[off + R.indices]
-                        for off, R in zip(prob.offsets, Rs)]),
-        np.concatenate([[0]] + [R.indptr[1:] + k
-                                for R, k in zip(Rs, starts)])),
-        (n_res, n_res)).tocsc()
+    """``R Z`` as canonical CSC: the blocks' CSR ``R_i`` with each column
+    relabelled to its copy and duplicates summed (``Z`` is never formed).
+    Its pattern and value map (:func:`_rz_pattern`) are kept in
+    ``prob.cache`` while ``labels`` and every ``R_i``'s index arrays stay
+    the same; per call one gather fills the values."""
+    Rs = [be.R for be in ev.blocks]
+    cache = prob.cache
+    hit = cache.rz
+    if not (hit and hit[0] is labels and len(hit[1]) == len(Rs) and all(
+            np.array_equal(R.indptr, ptr) and np.array_equal(R.indices, ind)
+            for R, (ptr, ind) in zip(Rs, hit[1]))):
+        hit = cache.rz = (labels, [(R.indptr.copy(), R.indices.copy())
+                                   for R in Rs],
+                          *_rz_pattern(prob, Rs, labels))
+        cache.ordering = None
+    _, _, pattern, take, dup_value, dup_entry = hit
+    data = np.concatenate([R.data for R in Rs])
+    values = data[take]
+    np.add.at(values, dup_value, data[dup_entry])
+    return sp.csc_matrix((values, pattern.indices, pattern.indptr),
+                         shape=pattern.shape)
+
+
+def _splu(K, permc_spec=None):
+    """SuperLU factor of the CSC ``K``; its exactly-singular error is raised
+    as ``LinAlgError``."""
+    try:
+        return scipy.sparse.linalg.splu(K, permc_spec=permc_spec)
+    except RuntimeError as exc:              # "Factor is exactly singular"
+        raise scipy.linalg.LinAlgError(str(exc)) from exc
+
+
+def _superlu_pivot(lu):
+    """A SuperLU factor's smallest absolute pivot, as a callable: reading
+    ``lu.U`` costs about half a factorization, so only messages call it."""
+    return lambda: float(np.abs(lu.U.diagonal()).min())
 
 
 def _lu(K):
-    """``(solve, smallest pivot)`` of an LU factorization of ``K``: SuperLU
-    with its default COLAMD ordering for sparse ``K``, LAPACK for dense.
-    SuperLU's exactly-singular error is raised as ``LinAlgError``."""
+    """``(solve, pivot)`` of an LU factorization of ``K``: SuperLU with its
+    default COLAMD ordering for sparse ``K``, LAPACK for dense.  ``pivot()``
+    is the smallest absolute pivot, computed only when a message needs
+    it."""
     if sp.issparse(K):
-        try:
-            lu = scipy.sparse.linalg.splu(K)
-        except RuntimeError as exc:          # "Factor is exactly singular"
-            raise scipy.linalg.LinAlgError(str(exc)) from exc
-        return lu.solve, float(np.abs(lu.U.diagonal()).min())
+        lu = _splu(K)
+        return lu.solve, _superlu_pivot(lu)
     lu, piv = scipy.linalg.lu_factor(K)
     return ((lambda b: scipy.linalg.lu_solve((lu, piv), b)),
-            float(np.abs(np.diag(lu)).min()))
+            lambda: float(np.abs(np.diag(lu)).min()))
 
 
-def _refined_solve(mat, rhs):
-    """``(solution, relative back-substitution residual, smallest pivot)``
-    of ``mat x = rhs`` by LU with one round of iterative refinement; the
-    residual is infinite when the solution is not finite."""
+def _rz_factor(cache: StepCache, RZ):
+    """``(solve, pivot)`` of ``R Z`` as :func:`_lu` gives them, with
+    SuperLU's COLAMD ordering computed once per pattern: the first factor
+    orders by COLAMD and keeps its ``perm_c``; every later one factors ``R
+    Z`` pre-permuted by it in its natural order, with bitwise the same
+    factor, and scatters the solution back."""
+    if cache.ordering is None:
+        lu = _splu(RZ)
+        perm = np.argsort(lu.perm_c)       # R Z Pc = (R Z)[:, perm]
+        index = sp.csc_matrix((np.arange(RZ.nnz), RZ.indices, RZ.indptr),
+                              shape=RZ.shape)[:, perm]
+        cache.ordering = (lu.perm_c, index, index.data)
+        return lu.solve, _superlu_pivot(lu)
+    perm_c, index, take = cache.ordering
+    lu = _splu(sp.csc_matrix((RZ.data[take], index.indices, index.indptr),
+                             shape=index.shape), "NATURAL")
+    return (lambda b: lu.solve(b)[perm_c]), _superlu_pivot(lu)
+
+
+def _refined_solve(mat, rhs, factor=None):
+    """``(solution, relative back-substitution residual, pivot)`` of ``mat
+    x = rhs`` by LU with one round of iterative refinement; ``factor`` is
+    ``mat``'s ``(solve, pivot)``, by default :func:`_lu`'s.  The residual is
+    infinite when the solution is not finite."""
     rhs_norm = max(np.linalg.norm(rhs), 1e-300)
-    solve, pivot = _lu(mat)
+    solve, pivot = _lu(mat) if factor is None else factor
     sol = solve(rhs)
     if not np.all(np.isfinite(sol)):
         return sol, np.inf, pivot
@@ -325,14 +449,16 @@ def assemble_and_solve_kkt(prob: SqpProblem, ev: SqpEval, lam):
                 s = C.T @ z
                 rhs -= np.concatenate([be.R @ s[o:o + be.R.shape[1]] for
                                        o, be in zip(prob.offsets, ev.blocks)])
-            y, res, pivot = _refined_solve(_rz_matrix(prob, ev, labels), rhs)
+            RZ = _rz_matrix(prob, ev, labels)
+            y, res, pivot = _refined_solve(RZ, rhs,
+                                           _rz_factor(prob.cache, RZ))
         except scipy.linalg.LinAlgError as exc:
             raise ConvergenceError(f"[R; C] is singular ({exc})") from exc
         res = max(res, res_p)
         if res > 1e-10:
             raise ConvergenceError(
                 f"[R; C] back-substitution residual {res:.3e} exceeds "
-                f"1e-10 (smallest pivot {pivot:.3e})")
+                f"1e-10 (smallest pivot {pivot():.3e})")
         return s + y[labels], -lam, "newton", res
     K = _kkt_matrix(prob, ev)
     rhs = -ev.optimality
@@ -341,24 +467,24 @@ def assemble_and_solve_kkt(prob: SqpProblem, ev: SqpEval, lam):
         sol, res, pivot = _refined_solve(K, rhs)
         ok = res <= 1e-10
     except scipy.linalg.LinAlgError:
-        sol, res, pivot, ok = None, np.inf, 0.0, False
+        sol, res, pivot, ok = None, np.inf, (lambda: 0.0), False
     if not ok:
         path = "kkt+reg"
         delta = REG_SCALE * max(K.diagonal()[:n].sum(), 1.0)
         warnings.warn(
             f"KKT solve needed +{delta:.3e} regularization "
-            f"(smallest pivot {pivot:.3e})", RuntimeWarning, stacklevel=2)
+            f"(smallest pivot {pivot():.3e})", RuntimeWarning, stacklevel=2)
         K[np.arange(n), np.arange(n)] += delta
         try:
             sol, res, pivot = _refined_solve(K, rhs)
         except scipy.linalg.LinAlgError as exc:
             raise ConvergenceError(
-                f"KKT matrix is singular (smallest pivot {pivot:.3e})"
+                f"KKT matrix is singular (smallest pivot {pivot():.3e})"
             ) from exc
         if res > 1e-10:
             raise ConvergenceError(
                 f"KKT back-substitution residual {res:.3e} exceeds 1e-10 "
-                f"after regularization (smallest pivot {pivot:.3e})")
+                f"after regularization (smallest pivot {pivot():.3e})")
     return sol[:n], sol[n:], path, res
 
 

@@ -5,6 +5,10 @@ operators: the residual as Hadamard products of whole-grid difference
 products, the Jacobian as the sparse sum of ``diag`` and ``D Bx`` blocks
 that ``sp.bmat`` stacks.  Sparse sums and products keep no exact zeros.
 Tests compare the library's kernel with these, which share none of its code.
+
+:func:`reference_rz_matrix` builds the decomposed FOM's Newton matrix
+``R Z`` from scratch at every call, the reference for the SQP step's
+per-instance pattern and value map.
 """
 
 import numpy as np
@@ -35,3 +39,19 @@ def reference_jacobian(ops, s):
     Jvv = (Du @ ops.Bx + sp.diags(ops.By @ v - ops.bvy) + Dv @ ops.By
            + ops.Cdiff)
     return sp.bmat([[Juu, Juv], [Jvu, Jvv]], format="csr")
+
+
+def reference_rz_matrix(prob, ev, labels):
+    """``R Z`` of an evaluated square SQP problem as CSC: the blocks' CSR
+    ``R_i`` stacked, each column relabelled to its copy, with duplicates
+    left in place for SuperLU's ``sum_duplicates``."""
+    Rs = [be.R.tocsr() for be in ev.blocks]
+    starts = np.cumsum([0] + [R.nnz for R in Rs])
+    n_res = prob.n_primal - prob.n_mult
+    return sp.csr_matrix((
+        np.concatenate([R.data for R in Rs]),
+        np.concatenate([labels[off + R.indices]
+                        for off, R in zip(prob.offsets, Rs)]),
+        np.concatenate([[0]] + [R.indptr[1:] + k
+                                for R, k in zip(Rs, starts)])),
+        (n_res, n_res)).tocsc()

@@ -7,12 +7,14 @@ from scratch) and together take a few minutes; everything else runs in
 seconds.
 """
 
+import hashlib
 import time
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from ddrom import driver
 from ddrom.autoencoder import (
     TrainConfig,
     _init_autoencoder,
@@ -295,13 +297,30 @@ def scaled():
     tcfg = TrainConfig(epochs=500, seed=0)
     n_c = 8
 
-    ls = fit_initializer(
-        build_lsrom(part, snap, 8, 4, "wfpc", n_c=n_c), snap)
-    nm = fit_initializer(
-        build_nmrom(part, snap, 8, 4, "wfpc", n_c=n_c, train_cfg=tcfg), snap)
-    ls_srpc = fit_initializer(build_lsrom(part, snap, 8, 4, "srpc"), snap)
-    nm_srpc = fit_initializer(
-        build_nmrom(part, snap, 8, 4, "srpc", train_cfg=tcfg), snap)
+    # each distinct net is trained once: the SRPC build asks for the same
+    # four interior nets as the WFPC build (same data, mask, latent size
+    # and seed), and gets the WFPC build's
+    train, trained, repeats = driver.train, {}, []
+
+    def train_once(X, mask, n, cfg, activation):
+        key = (hashlib.sha256(X.tobytes()).hexdigest(), X.shape, mask.band,
+               mask.shift, n, cfg, activation)
+        if key in trained:
+            repeats.append(key)
+        else:
+            trained[key] = train(X, mask, n, cfg, activation=activation)
+        return trained[key]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(driver, "train", train_once)
+        ls = fit_initializer(
+            build_lsrom(part, snap, 8, 4, "wfpc", n_c=n_c), snap)
+        nm = fit_initializer(build_nmrom(part, snap, 8, 4, "wfpc", n_c=n_c,
+                                         train_cfg=tcfg), snap)
+        ls_srpc = fit_initializer(build_lsrom(part, snap, 8, 4, "srpc"), snap)
+        nm_srpc = fit_initializer(
+            build_nmrom(part, snap, 8, 4, "srpc", train_cfg=tcfg), snap)
+    assert len(repeats) == 4
 
     solve = lambda inst, label: solve_rom(
         inst, p_test, cfg, fom_state=fom_state, fom_seconds=fom_seconds,

@@ -16,6 +16,7 @@ from ddrom.autoencoder import (
     TrainConfig,
     _act,
     _act_deriv,
+    _banded_gradient,
     _init_autoencoder,
     assemble_srpc_interface,
     build_mask,
@@ -267,6 +268,26 @@ def bump_snapshots(n_out=24, n_mu=64):
     x = np.linspace(-1.0, 1.0, n_out)
     centers = np.linspace(-0.5, 0.5, n_mu)
     return np.exp(-((x[:, None] - centers[None, :]) ** 2) / 0.1)
+
+
+@pytest.mark.parametrize("n_out,band,shift", [(174, 5, 5), (23, 3, 3),
+                                               (9, 4, 2), (12, 2, 1)])
+def test_banded_gradients_bitwise_equal_gather(n_out, band, shift):
+    # the training gradients of both sparse layers from strided views equal
+    # the einsum over gathered rows they replace, bitwise: at a full and a
+    # last, narrower batch, and for an F-ordered batch (the layout a column
+    # subset of the snapshots has)
+    ae = random_net(n_out, band, shift, 3, 7)
+    rng = np.random.default_rng(n_out)
+    for W, wide_rows in ((ae.W2g, False), (ae.W1h, True)):
+        rows = np.repeat(np.arange(W.shape[0]), np.diff(W.indptr))
+        grad = _banded_gradient(W, ae.mask, wide_rows)
+        for B in (32, 26):
+            for order in "CF":
+                P = np.asarray(rng.normal(size=(W.shape[0], B)), order=order)
+                Q = np.asarray(rng.normal(size=(W.shape[1], B)), order=order)
+                want = np.einsum("kb,kb->k", P[rows], Q[W.indices])
+                np.testing.assert_array_equal(grad(P, Q), want)
 
 
 def test_training_fits_smooth_one_parameter_family():

@@ -46,7 +46,8 @@ from ddrom import sqp
 from ddrom.sqp import SqpBlock, SqpConfig, SqpProblem, _kkt_matrix, \
     assemble_and_solve_kkt, eval_gradients, is_square, iterate
 
-from fom_reference import reference_jacobian, reference_residual
+from fom_reference import reference_jacobian, reference_residual, \
+    reference_rz_matrix
 
 
 @pytest.fixture(scope="module")
@@ -450,6 +451,65 @@ def test_dd_fom_step_is_the_monolithic_newton_step(nx, ny):
         assert np.linalg.norm(step - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+def test_cached_square_step_is_bitwise_the_uncached_step():
+    # one instance across parameters and Newton iterates: R Z from the
+    # instance's pattern and value map, factored in the order of the first
+    # factor's COLAMD, gives bitwise the matrix, step and residual of R Z
+    # built from scratch and factored with COLAMD every time
+    part = build_partition(Grid2D(60, 8), 2, 2)
+    inst = build_dd_fom(part)
+    for a, lam in ((5000.0, 15.0), (300.0, 10.0), (8506.0, 23.6)):
+        prob = build_problem(inst, assemble(part.grid,
+                                            ParameterPoint(a, lam)))
+        assert prob.cache is inst._step
+        x, mult = np.zeros(prob.n_primal), np.zeros(prob.n_mult)
+        for _ in range(4):
+            ev = eval_gradients(prob, x, mult)
+            labels, _ = sqp._copy_labels(prob, ev)
+            ref = reference_rz_matrix(prob, ev, labels)
+            y, res, _ = sqp._refined_solve(
+                ref, -np.concatenate([be.Br for be in ev.blocks]))
+            RZ = sqp._rz_matrix(prob, ev, labels)
+            for name in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(RZ, name),
+                                              getattr(ref, name))
+            s, _, path, kkt_res = assemble_and_solve_kkt(prob, ev, mult)
+            assert path == "newton" and not ev.con.any()
+            np.testing.assert_array_equal(s, y[labels])
+            assert kkt_res == res
+            x = x + s
+    assert inst._step.ordering is not None
+
+
+def test_colamd_orders_once_per_instance(monkeypatch):
+    # the column ordering depends only on R Z's pattern: of every SuperLU
+    # factor over three queries of one instance only the first runs
+    # COLAMD; an instance copy starts with an empty cache
+    specs = []
+    splu = scipy.sparse.linalg.splu
+
+    def spy(A, permc_spec=None, **kwargs):
+        specs.append(permc_spec)
+        return splu(A, permc_spec=permc_spec, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
+    part = build_partition(Grid2D(60, 8), 2, 2)
+    inst = build_dd_fom(part)
+    x0 = np.zeros(sum(s.n_interior + s.n_interface for s in part.subdomains))
+    points = [ParameterPoint(5000.0, 15.0), ParameterPoint(300.0, 10.0),
+              ParameterPoint(8506.0, 23.6)]
+    for p in points:
+        _, rec = solve_rom(inst, p, SqpConfig(tol=1e-6), x0=x0,
+                           compute_error=False)
+        assert rec.converged
+    assert len(specs) >= 3 * 3
+    assert specs == [None] + ["NATURAL"] * (len(specs) - 1)
+    specs.clear()
+    solve_rom(replace(inst), points[0], SqpConfig(tol=1e-6), x0=x0,
+              compute_error=False)
+    assert specs == [None] + ["NATURAL"] * (len(specs) - 1)
+
+
 # ------------------------------------------------------------------ LS-ROM
 
 def test_lsrom_training_param_error_below_pod_tail(desk, ls_wfpc):
@@ -810,6 +870,7 @@ def test_instance_copies_start_without_structure(desk, ls_wfpc):
     assert fit_initializer(inst, snap)._structure is None
     h = attach_hr(inst, snap, "collocation", n_samples=30)
     assert h._structure is None
+    assert len({id(i._step) for i in (inst, replace(inst), h)}) == 3
     prob = build_problem(h, assemble(grid, snap.params[7]))
     for blk, hr, (xi, xg) in zip(prob.blocks, h.hr,
                                  prob.split(np.zeros(prob.n_primal))):

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
 from ddrom.burgers import Grid2D, ParameterPoint, assemble, exact_state, \
     solve_monolithic
@@ -22,6 +23,8 @@ from ddrom.sqp import (
     eval_gradients,
     iterate,
 )
+
+from fom_reference import reference_rz_matrix
 
 
 def linear_block(A_int, A_gam, b, E, d=None):
@@ -382,6 +385,92 @@ def test_square_step_is_newton_step_with_zero_new_multipliers(monkeypatch):
     K = _kkt_matrix(ref_prob, eval_gradients(ref_prob, x, lam))
     sol = np.linalg.solve(K, -ev.optimality)
     assert np.linalg.norm(s - sol[:5]) <= 1e-10 * np.linalg.norm(sol[:5])
+
+
+def fixed_pattern_block(A_int, A_gam, b, C):
+    """A square block that returns the CSR ``C`` itself at every evaluation
+    and a new CSR ``R`` whose values, not its pattern, change with ``x``
+    (each evaluation wraps the same read-only index arrays, as the
+    decomposed FOM's blocks do)."""
+    A = sp.csr_matrix(np.hstack([A_int, A_gam]))
+    for arr in (A.indices, A.indptr):
+        arr.flags.writeable = False
+
+    def evaluate(xi, xg):
+        x = np.concatenate([xi, xg])
+        R = sp.csr_matrix((A.data * (1.0 + x @ x), A.indices, A.indptr),
+                          shape=A.shape)
+        return A @ x - b, R, C @ xg, C
+
+    return SqpBlock(A_int.shape[1], A_gam.shape[1], evaluate)
+
+
+def test_step_cache_rebuilds_on_new_coupling_or_pattern(monkeypatch):
+    # a StepCache shared by problems keeps the copy labels while the blocks
+    # return the same C_i objects, and the R Z map and column ordering
+    # while the R_i index arrays hold the same entries; another C_i object
+    # or R_i pattern rebuilds them.  Three interface unknowns are copies of one
+    # (labels [0 1 2 2 2]), so R Z sums three columns per row, in the order
+    # SuperLU's sum_duplicates does.  Every step is bitwise a fresh cache's.
+    rng = np.random.default_rng(31)
+    A_int = np.eye(3, 2) + 0.1 * rng.normal(size=(3, 2))
+    A_gam, b = rng.normal(size=(3, 3)), rng.normal(size=3)
+    E = np.array([[1.0, -1.0, 0.0], [0.0, -1.0, 1.0]])
+    cache = sqp.StepCache()
+    specs = []
+    splu = scipy.sparse.linalg.splu
+
+    def spy(A, permc_spec=None, **kwargs):
+        specs.append(permc_spec)
+        return splu(A, permc_spec=permc_spec, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
+
+    def solve(blk, x):
+        """The step through ``cache``, checked against a fresh cache's and
+        its R Z against the reference; ``cache``'s three entries."""
+        specs.clear()
+        prob = SqpProblem([blk], 2, cache)
+        ev = eval_gradients(prob, x, np.zeros(2))
+        s = assemble_and_solve_kkt(prob, ev, np.zeros(2))[0]
+        fresh = SqpProblem([blk], 2)
+        ref = assemble_and_solve_kkt(
+            fresh, eval_gradients(fresh, x, np.zeros(2)), np.zeros(2))[0]
+        np.testing.assert_array_equal(s, ref)
+        labels = cache.copies[2]
+        np.testing.assert_array_equal(labels, [0, 1, 2, 2, 2])
+        RZ = sqp._rz_matrix(prob, ev, labels)
+        want = reference_rz_matrix(prob, ev, labels)
+        want.sum_duplicates()
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(RZ, name),
+                                          getattr(want, name))
+        return cache.copies, cache.rz, cache.ordering
+
+    def same(a, b):
+        return [u is v for u, v in zip(a, b)]
+
+    C = sp.csr_matrix(E)
+    blk = fixed_pattern_block(A_int, A_gam, b, C)
+    x = np.concatenate([rng.normal(size=2), np.full(3, 0.3)])   # c = 0
+    built = solve(blk, x)
+    assert specs == [None, None]       # COLAMD in the cache and the fresh
+    for _ in range(2):                 # new values, same C_i and pattern
+        x = x + 0.1
+        assert same(solve(blk, x), built) == [True] * 3
+        assert specs == ["NATURAL", None]
+    # the same entries in another C_i object: labels, map and ordering
+    # are rebuilt
+    C_copy = C.copy()
+    other = solve(fixed_pattern_block(A_int, A_gam, b, C_copy), x)
+    assert same(other, built) == [False] * 3 and specs == [None, None]
+    # one stored entry fewer in R_i under the same C_i: the labels stay,
+    # the map and the ordering are rebuilt
+    A_less = A_int.copy()
+    A_less[2, 1] = 0.0
+    less = solve(fixed_pattern_block(A_less, A_gam, b, C_copy), x)
+    assert same(less, other) == [True, False, False]
+    assert specs == [None, None]
 
 
 def test_singular_square_system_raises_convergence_error(monkeypatch):

@@ -27,9 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceError, SingularityError
+from .sqp import ordered_splu
 
 X_MIN, X_MAX = -1.0, 1.0
 Y_MIN, Y_MAX = 0.0, 0.05
@@ -226,11 +226,15 @@ def assemble(grid: Grid2D, p: ParameterPoint) -> FomOperators:
 @functools.lru_cache(maxsize=8)
 def _fom_kernel(grid: Grid2D) -> "RestrictedResidual":
     """Every row of ``grid`` on every column, with identity product terms,
-    built once per grid; each :class:`FomOperators` rebinds a copy."""
+    built once per grid; each :class:`FomOperators` rebinds a copy.  Its
+    ``ordering`` keeps SuperLU's column ordering of the last
+    ``sqp.ORDERS_KEPT`` Jacobian patterns :func:`solve_monolithic` factored
+    on ``grid`` (:func:`sqp.ordered_splu`)."""
     every = np.arange(grid.ndof)
     kernel = RestrictedResidual(
         assemble(grid, ParameterPoint(A_RANGE[0], LAM_RANGE[0])), every, every)
     kernel._identity_terms  # built before any copy, so the copies share them
+    kernel.ordering = []
     return kernel
 
 
@@ -451,12 +455,18 @@ def solve_monolithic(grid: Grid2D, p: ParameterPoint, init=None,
     """Damped Newton solve of the full-order model.
 
     Each step factors :func:`jacobian` (the subdomain blocks' kernel over
-    every row, exact zeros dropped) with SuperLU.  Returns
+    every row, exact zeros dropped) with SuperLU, whose COLAMD column
+    ordering runs once per Jacobian pattern on the grid: the grid's kernel
+    keeps the orderings of its last ``sqp.ORDERS_KEPT`` patterns, and a
+    pattern met again is factored in its kept order, with bitwise the
+    COLAMD factor (:func:`sqp.ordered_splu`).  Returns
     ``(state, NewtonTrace)``.  The trace keeps every iterate and its
     residual vector so downstream snapshot harvesting can reuse them.
-    Raises :class:`ConvergenceError` on stagnation or iteration exhaustion.
+    Raises :class:`ConvergenceError` on a singular Jacobian, stagnation or
+    iteration exhaustion.
     """
     ops = assemble(grid, p)
+    ordering = _fom_kernel(grid).ordering
     if init is None:
         s = np.zeros(grid.ndof)
     else:
@@ -477,12 +487,11 @@ def solve_monolithic(grid: Grid2D, p: ParameterPoint, init=None,
         if rnorm <= tol:
             trace.converged = True
             return s, trace
-        J = jacobian(ops, s)
         try:
-            lu = spla.splu(J.tocsc())
-        except RuntimeError as exc:  # pragma: no cover - defensive
+            solve, _ = ordered_splu(jacobian(ops, s).tocsc(), ordering)
+        except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"singular Jacobian: {exc}", trace) from exc
-        d = lu.solve(-r)
+        d = solve(-r)
         alpha = 1.0
         for _halving in range(21):
             s_new = s + alpha * d

@@ -52,6 +52,7 @@ message prints it.
 
 from __future__ import annotations
 
+import mmap
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -68,6 +69,7 @@ from .errors import ConvergenceError
 ARMIJO_C1 = 1e-4    # sufficient-decrease constant of the line search
 MAX_HALVINGS = 25   # line-search step halvings before giving up
 REG_SCALE = 1e-12   # KKT fallback regularization, relative to trace(R'R)
+ORDERS_KEPT = 4     # sparsity patterns one ordered_splu ordering list keeps
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,7 +101,7 @@ class StepCache:
     * the CSC pattern of ``R Z`` and the map from the blocks' concatenated
       ``R_i.data`` to its values (:func:`_rz_matrix`);
     * SuperLU's column ordering of ``R Z``, COLAMD's from its first factor
-      (:func:`_rz_factor`).
+      (:func:`ordered_splu`).
 
     Each entry is checked against what it was built from, the ``C_i``
     objects and the ``R_i`` index arrays, and is rebuilt, with what
@@ -110,7 +112,7 @@ class StepCache:
         self.transposes = {}    # block index -> (C_i, C_i' as CSR)
         self.copies = None      # (layout, C_i objects, labels, C)
         self.rz = None          # (labels, R_i patterns, pattern, gathers)
-        self.ordering = None    # (perm_c, permuted pattern, gather)
+        self.ordering = []      # R Z's column ordering (ordered_splu)
 
     def transpose(self, i: int, C):
         """``C'`` of block ``i``'s constraint Jacobian ``C``: a view for a
@@ -350,7 +352,7 @@ def _rz_matrix(prob: SqpProblem, ev: SqpEval, labels):
         hit = cache.rz = (labels, [(R.indptr.copy(), R.indices.copy())
                                    for R in Rs],
                           *_rz_pattern(prob, Rs, labels))
-        cache.ordering = None
+        cache.ordering = []
     _, _, pattern, take, dup_value, dup_entry = hit
     data = np.concatenate([R.data for R in Rs])
     values = data[take]
@@ -387,23 +389,43 @@ def _lu(K):
             lambda: float(np.abs(np.diag(lu)).min()))
 
 
-def _rz_factor(cache: StepCache, RZ):
-    """``(solve, pivot)`` of ``R Z`` as :func:`_lu` gives them, with
-    SuperLU's COLAMD ordering computed once per pattern: the first factor
-    orders by COLAMD and keeps its ``perm_c``; every later one factors ``R
-    Z`` pre-permuted by it in its natural order, with bitwise the same
-    factor, and scatters the solution back."""
-    if cache.ordering is None:
-        lu = _splu(RZ)
-        perm = np.argsort(lu.perm_c)       # R Z Pc = (R Z)[:, perm]
-        index = sp.csc_matrix((np.arange(RZ.nnz), RZ.indices, RZ.indptr),
-                              shape=RZ.shape)[:, perm]
-        cache.ordering = (lu.perm_c, index, index.data)
-        return lu.solve, _superlu_pivot(lu)
-    perm_c, index, take = cache.ordering
-    lu = _splu(sp.csc_matrix((RZ.data[take], index.indices, index.indptr),
-                             shape=index.shape), "NATURAL")
-    return (lambda b: lu.solve(b)[perm_c]), _superlu_pivot(lu)
+def ordered_splu(K, ordering: list):
+    """``(solve, pivot)`` of the CSC ``K`` as :func:`_lu` gives them, with
+    SuperLU's COLAMD ordering computed once per sparsity pattern.
+    ``ordering`` holds, most recently used first, at most ``ORDERS_KEPT``
+    patterns, each with a copy of its first factor's ``perm_c``
+    (``lu.perm_c`` itself keeps the whole factor alive) and the pattern
+    pre-permuted by it with the gather into it, all in one memory map
+    (:func:`_off_heap`).  A pattern met again, compared by value, is
+    factored pre-permuted in its natural order, with bitwise the COLAMD
+    factor, and the solution is read back through ``perm_c``."""
+    for i, (ptr, ind, perm_c, pptr, pind, take) in enumerate(ordering):
+        if np.array_equal(ptr, K.indptr) and np.array_equal(ind, K.indices):
+            ordering.insert(0, ordering.pop(i))
+            lu = _splu(sp.csc_matrix((K.data[take], pind, pptr),
+                                     shape=K.shape), "NATURAL")
+            return (lambda b: lu.solve(b)[perm_c]), _superlu_pivot(lu)
+    lu = _splu(K)
+    index = sp.csc_matrix((np.arange(K.nnz), K.indices, K.indptr),
+                          shape=K.shape)[:, np.argsort(lu.perm_c)]
+    ordering.insert(0, _off_heap(K.indptr, K.indices, lu.perm_c,
+                                 index.indptr, index.indices, index.data))
+    del ordering[ORDERS_KEPT:]
+    return lu.solve, _superlu_pivot(lu)
+
+
+def _off_heap(*arrays):
+    """Copies of ``arrays``, views of one anonymous memory map.  For index
+    data kept across many solves: on the malloc heap, each long-lived copy
+    keeps the memory freed around it from being returned, and the kept
+    orderings raised a 120x12 snapshot sweep's peak RSS by 4-5 MB."""
+    starts = np.cumsum([0] + [-(-a.nbytes // 8) * 8 for a in arrays])
+    buf = mmap.mmap(-1, max(int(starts[-1]), 1))
+    out = tuple(np.frombuffer(buf, a.dtype, a.size, int(pos))
+                for a, pos in zip(arrays, starts))
+    for view, a in zip(out, arrays):
+        view[...] = a
+    return out
 
 
 def _refined_solve(mat, rhs, factor=None):
@@ -450,8 +472,8 @@ def assemble_and_solve_kkt(prob: SqpProblem, ev: SqpEval, lam):
                 rhs -= np.concatenate([be.R @ s[o:o + be.R.shape[1]] for
                                        o, be in zip(prob.offsets, ev.blocks)])
             RZ = _rz_matrix(prob, ev, labels)
-            y, res, pivot = _refined_solve(RZ, rhs,
-                                           _rz_factor(prob.cache, RZ))
+            y, res, pivot = _refined_solve(
+                RZ, rhs, ordered_splu(RZ, prob.cache.ordering))
         except scipy.linalg.LinAlgError as exc:
             raise ConvergenceError(f"[R; C] is singular ({exc})") from exc
         res = max(res, res_p)

@@ -8,11 +8,17 @@ Tests compare the library's kernel with these, which share none of its code.
 
 :func:`reference_rz_matrix` builds the decomposed FOM's Newton matrix
 ``R Z`` from scratch at every call, the reference for the SQP step's
-per-instance pattern and value map.
+per-instance pattern and value map.  :func:`reference_newton` is the
+monolithic Newton loop with a plain COLAMD ``splu`` at every iteration,
+the reference for the per-grid column orderings of ``solve_monolithic``.
 """
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg
+
+from ddrom import burgers
+from ddrom.errors import ConvergenceError
 
 
 def reference_residual(ops, s):
@@ -55,3 +61,42 @@ def reference_rz_matrix(prob, ev, labels):
         np.concatenate([[0]] + [R.indptr[1:] + k
                                 for R, k in zip(Rs, starts)])),
         (n_res, n_res)).tocsc()
+
+
+def reference_newton(grid, p, init=None, tol=1e-8, max_iter=25):
+    """``burgers.solve_monolithic``'s damped Newton loop, factoring every
+    Jacobian with ``splu`` and its COLAMD ordering; returns ``(state,
+    NewtonTrace)`` and raises ``ConvergenceError`` where it does."""
+    ops = burgers.assemble(grid, p)
+    s = (np.zeros(grid.ndof) if init is None
+         else np.array(init, dtype=float, copy=True))
+    r = burgers.residual(ops, s)
+    rnorm = float(np.linalg.norm(r))
+    trace = burgers.NewtonTrace(iterates=[s.copy()], residuals=[r.copy()],
+                                norms=[rnorm], alphas=[])
+    for _ in range(max_iter):
+        if rnorm <= tol:
+            break
+        lu = scipy.sparse.linalg.splu(burgers.jacobian(ops, s).tocsc())
+        d = lu.solve(-r)
+        alpha = 1.0
+        for _halving in range(21):
+            s_new = s + alpha * d
+            r_new = burgers.residual(ops, s_new)
+            rnorm_new = float(np.linalg.norm(r_new))
+            if rnorm_new < rnorm:
+                break
+            alpha *= 0.5
+        else:
+            raise ConvergenceError(
+                f"Newton stagnated at |r| = {rnorm:.3e}", trace)
+        s, r, rnorm = s_new, r_new, rnorm_new
+        trace.alphas.append(alpha)
+        trace.iterates.append(s.copy())
+        trace.residuals.append(r.copy())
+        trace.norms.append(rnorm)
+    if rnorm > tol:
+        raise ConvergenceError(f"no convergence in {max_iter} iterations "
+                               f"(|r| = {rnorm:.3e})", trace)
+    trace.converged = True
+    return s, trace

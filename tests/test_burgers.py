@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
-from ddrom import burgers
+from ddrom import burgers, sqp
 from ddrom.burgers import (
     Grid2D,
     ParameterPoint,
@@ -18,7 +19,8 @@ from ddrom.burgers import (
 )
 from ddrom.errors import ConvergenceError, SingularityError
 
-from fom_reference import reference_jacobian, reference_residual
+from fom_reference import reference_jacobian, reference_newton, \
+    reference_residual
 
 
 # ---------------------------------------------------------------- exact solution
@@ -389,3 +391,124 @@ def test_newton_iterates_bitwise_with_sparse_formula_jacobian(monkeypatch):
     got = solves()
     monkeypatch.setattr(burgers, "jacobian", reference_jacobian)
     assert solves() == got
+
+
+def _trace_bytes(trace):
+    return ([a.tobytes() for a in trace.iterates + trace.residuals]
+            + [np.array(trace.alphas).tobytes()])
+
+
+@pytest.mark.parametrize("nx,ny", [(24, 6), (60, 8), (120, 12)])
+def test_newton_iterates_bitwise_with_plain_colamd_loop(nx, ny):
+    # the per-grid column orderings change no bit: from the zero start and
+    # from warm starts, every iterate, residual and step length equals the
+    # loop that runs COLAMD at every factor
+    burgers._fom_kernel.cache_clear()
+    g = Grid2D(nx, ny)
+    points = [ParameterPoint(4321.0, 17.5), ParameterPoint(1.0, 25.0),
+              ParameterPoint(1e4, 5.0), ParameterPoint(4400.0, 17.0)]
+    prev = None
+    for p in points:
+        for init in (None, prev, None if prev is None else 0.5 * prev):
+            x, trace = solve_monolithic(g, p, init=init)
+            _, ref = reference_newton(g, p, init=init)
+            assert _trace_bytes(trace) == _trace_bytes(ref)
+        prev = x
+    assert burgers._fom_kernel(g).ordering
+
+
+def _spy_factors(monkeypatch):
+    """Record ``(permc_spec, pattern)`` of every SuperLU factor and the CSC
+    pattern of every FOM Jacobian."""
+    factors, patterns = [], []
+    splu, jac = scipy.sparse.linalg.splu, burgers.jacobian
+
+    def key(A):
+        return A.shape, A.indptr.tobytes(), A.indices.tobytes()
+
+    def spy_splu(A, permc_spec=None, **kwargs):
+        factors.append((permc_spec, key(A)))
+        return splu(A, permc_spec=permc_spec, **kwargs)
+
+    def spy_jacobian(ops, s):
+        J = jac(ops, s)
+        patterns.append(key(J.tocsc()))
+        return J
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", spy_splu)
+    monkeypatch.setattr(burgers, "jacobian", spy_jacobian)
+    return factors, patterns
+
+
+def test_fom_colamd_runs_once_per_jacobian_pattern(monkeypatch):
+    # cold-start queries on two grids, twice each: COLAMD orders each
+    # distinct Jacobian pattern of a grid once, every other factor is
+    # SuperLU's natural order on the pre-permuted matrix
+    burgers._fom_kernel.cache_clear()
+    factors, patterns = _spy_factors(monkeypatch)
+    grids = [Grid2D(24, 6), Grid2D(60, 8)]
+    points = [ParameterPoint(5000.0, 15.0), ParameterPoint(300.0, 10.0),
+              ParameterPoint(8506.0, 23.6)]
+    for _ in range(2):
+        for g in grids:
+            for p in points:
+                assert solve_monolithic(g, p)[1].converged
+    assert len(factors) == len(patterns) > 4 * len(set(patterns))
+    assert len(set(patterns)) <= len(grids) * sqp.ORDERS_KEPT
+    colamd = [k for spec, k in factors if spec is None]
+    assert sorted(colamd) == sorted(set(patterns))
+    assert all(spec in (None, "NATURAL") for spec, _ in factors)
+    for g in grids:
+        assert len(burgers._fom_kernel(g).ordering) <= sqp.ORDERS_KEPT
+
+
+def test_fom_orderings_stay_bounded_over_a_warm_sweep(monkeypatch):
+    # a warm-started sweep meets more Jacobian patterns than a grid keeps
+    # orderings for: the kept entries never exceed ORDERS_KEPT, and none
+    # is a view of a factor (SuperLU's own perm_c would pin it)
+    burgers._fom_kernel.cache_clear()
+    factors, patterns = _spy_factors(monkeypatch)
+    g = Grid2D(24, 6)
+    ordering = burgers._fom_kernel(g).ordering
+    prev = None
+    for a in (1.0, 10.0, 100.0, 1000.0, 1e4):
+        for lam in (5.0, 10.0, 15.0, 20.0, 25.0):
+            prev, trace = solve_monolithic(g, ParameterPoint(a, lam),
+                                           init=prev)
+            assert trace.converged
+            assert 0 < len(ordering) <= sqp.ORDERS_KEPT
+            assert not any(isinstance(a.base, scipy.sparse.linalg.SuperLU)
+                           for entry in ordering for a in entry)
+    assert len(set(patterns)) > sqp.ORDERS_KEPT
+    assert sum(spec is None for spec, _ in factors) < len(factors)
+
+
+@pytest.mark.parametrize("kept_pattern", [False, True])
+def test_newton_singular_jacobian_raises_with_trace(monkeypatch,
+                                                     kept_pattern):
+    # a Jacobian with a zero first column is exactly singular, whether its
+    # pattern is new (COLAMD) or already ordered (the zero kept as an
+    # explicit entry, natural order): the solve raises ConvergenceError
+    # carrying the trace so far
+    g = Grid2D(12, 4)
+    p = ParameterPoint(50.0, 10.0)
+    x, _ = solve_monolithic(g, p)
+    factors, _ = _spy_factors(monkeypatch)
+    jac = burgers.jacobian
+
+    def singular(ops, s):
+        J = jac(ops, s)
+        J.data[J.indices == 0] = 0.0
+        if not kept_pattern:
+            J.eliminate_zeros()
+        return J
+
+    monkeypatch.setattr(burgers, "jacobian", singular)
+    init = 0.9 * x
+    with pytest.raises(ConvergenceError, match="singular Jacobian") as err:
+        solve_monolithic(g, p, init=init)
+    assert [spec for spec, _ in factors] == [
+        "NATURAL" if kept_pattern else None]
+    trace = err.value.trace
+    assert trace is not None and trace.niter == 0
+    np.testing.assert_array_equal(trace.iterates[0], init)

@@ -3,6 +3,7 @@ bound diagnostics, and the benchmark harness."""
 
 import csv
 import inspect
+import mmap
 from dataclasses import replace
 
 import numpy as np
@@ -478,7 +479,7 @@ def test_cached_square_step_is_bitwise_the_uncached_step():
             np.testing.assert_array_equal(s, y[labels])
             assert kkt_res == res
             x = x + s
-    assert inst._step.ordering is not None
+    assert len(inst._step.ordering) == 1
 
 
 def test_colamd_orders_once_per_instance(monkeypatch):
@@ -508,6 +509,20 @@ def test_colamd_orders_once_per_instance(monkeypatch):
     solve_rom(replace(inst), points[0], SqpConfig(tol=1e-6), x0=x0,
               compute_error=False)
     assert specs == [None] + ["NATURAL"] * (len(specs) - 1)
+
+
+def test_step_cache_ordering_owns_its_perm_c():
+    # the kept column ordering is a copy: SuperLU's own perm_c is a view of
+    # the factor, so keeping it would pin the first R Z factor of every
+    # instance
+    part = build_partition(Grid2D(24, 6), 2, 2)
+    inst = build_dd_fom(part)
+    x0 = np.zeros(sum(s.n_interior + s.n_interface for s in part.subdomains))
+    _, rec = solve_rom(inst, ParameterPoint(5000.0, 15.0),
+                       SqpConfig(tol=1e-6), x0=x0, compute_error=False)
+    assert rec.converged
+    entry, = inst._step.ordering
+    assert all(isinstance(a.base.obj, mmap.mmap) for a in entry)
 
 
 # ------------------------------------------------------------------ LS-ROM

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddrom import binio, burgers
+from ddrom import binio, burgers, snapshots
 from ddrom.burgers import Grid2D, ParameterPoint, solve_monolithic
 from ddrom.errors import FormatError
 from ddrom.partition import build_partition
@@ -19,7 +19,7 @@ from ddrom.snapshots import (
     split_columns,
 )
 
-from fom_reference import reference_jacobian
+from fom_reference import reference_jacobian, reference_newton
 
 
 # ---------------------------------------------------------------- binary format
@@ -248,6 +248,27 @@ def test_generate_bitwise_with_sparse_formula_jacobian(monkeypatch):
 
     got = arrays()
     monkeypatch.setattr(burgers, "jacobian", reference_jacobian)
+    assert arrays() == got
+
+
+@pytest.mark.parametrize("nx,ny,na", [(24, 6, 4), (60, 8, 3)])
+def test_generate_bitwise_with_plain_colamd_newton(monkeypatch, nx, ny, na):
+    # the warm-started sweep through the per-grid column orderings gives
+    # byte for byte the snapshots of a Newton loop that runs COLAMD at
+    # every factor
+    burgers._fom_kernel.cache_clear()
+    grid = Grid2D(nx, ny)
+    part = build_partition(grid, 2, 2)
+    params = sample_grid(na, na)
+
+    def arrays():
+        snap = generate(grid, params, part)
+        out = [snap.states, np.array(snap.newton_iters)]
+        out += [snap.residual[k] for k in sorted(snap.residual)]
+        return [a.tobytes() for a in out]
+
+    got = arrays()
+    monkeypatch.setattr(snapshots, "solve_monolithic", reference_newton)
     assert arrays() == got
 
 

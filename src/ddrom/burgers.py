@@ -227,8 +227,8 @@ def assemble(grid: Grid2D, p: ParameterPoint) -> FomOperators:
 def _fom_kernel(grid: Grid2D) -> "RestrictedResidual":
     """Every row of ``grid`` on every column, with identity product terms,
     built once per grid; each :class:`FomOperators` rebinds a copy.  Its
-    ``ordering`` keeps SuperLU's column ordering of the last
-    ``sqp.ORDERS_KEPT`` Jacobian patterns :func:`solve_monolithic` factored
+    ``ordering`` keeps SuperLU's column ordering of the grid's one Jacobian
+    pattern, which :func:`solve_monolithic` computes at its first factor
     on ``grid`` (:func:`sqp.ordered_splu`)."""
     every = np.arange(grid.ndof)
     kernel = RestrictedResidual(
@@ -245,24 +245,21 @@ def residual(ops: FomOperators, s: np.ndarray) -> np.ndarray:
 
 def jacobian(ops: FomOperators, s: np.ndarray) -> sp.csr_matrix:
     """Analytic Jacobian of :func:`residual` at ``s`` (CSR): the kernel on
-    every row with identity terms, its fixed pattern copied and exact zeros
-    dropped.  Pattern and values are then bitwise those of the zero-free
-    sparse sum of the formula's ``diag``, ``D Bx`` and ``Cdiff`` terms; the
-    zero state's explicit zeros would change SuperLU's column ordering."""
+    every row with identity terms, a copy the caller owns.  Its pattern is
+    :func:`structural_pattern` at every state, exact zeros kept, so one
+    SuperLU column ordering serves every factor on the grid."""
     kernel = ops._kernel
-    J = kernel._product(*kernel._residual(s)[1:],
-                        kernel._identity_terms).copy()
-    J.eliminate_zeros()
-    return J
+    return kernel._product(*kernel._residual(s)[1:],
+                           kernel._identity_terms).copy()
 
 
 def structural_pattern(grid: Grid2D) -> sp.csr_matrix:
     """State-independent Jacobian sparsity pattern (boolean CSR).
 
-    A copy of the fixed pattern :func:`jacobian` fills at every state
-    (the per-grid kernel's, so nothing restates the stencil): 5-point
-    coupling within each velocity block plus diagonal cross-coupling
-    between blocks.
+    A copy of the fixed pattern of :func:`jacobian` at every state (the
+    per-grid kernel's, so nothing restates the stencil): 5-point coupling
+    within each velocity block plus diagonal cross-coupling between
+    blocks.  An entry may hold an exact zero at a given state.
     """
     pattern = _fom_kernel(grid)._identity_terms[2]
     return sp.csr_matrix((np.ones(pattern.nnz, dtype=bool),
@@ -455,10 +452,9 @@ def solve_monolithic(grid: Grid2D, p: ParameterPoint, init=None,
     """Damped Newton solve of the full-order model.
 
     Each step factors :func:`jacobian` (the subdomain blocks' kernel over
-    every row, exact zeros dropped) with SuperLU, whose COLAMD column
-    ordering runs once per Jacobian pattern on the grid: the grid's kernel
-    keeps the orderings of its last ``sqp.ORDERS_KEPT`` patterns, and a
-    pattern met again is factored in its kept order, with bitwise the
+    every row, on the grid's fixed pattern) with SuperLU, whose COLAMD
+    column ordering runs once per grid: the grid's kernel keeps it, and
+    every later factor on the grid runs in that order, with bitwise the
     COLAMD factor (:func:`sqp.ordered_splu`).  Returns
     ``(state, NewtonTrace)``.  The trace keeps every iterate and its
     residual vector so downstream snapshot harvesting can reuse them.

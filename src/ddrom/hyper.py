@@ -89,15 +89,6 @@ class HrOperator:
             return self.weights @ v_sampled
         return v_sampled
 
-    def matrix(self) -> np.ndarray:
-        """Dense B, for small instances and tests."""
-        B = np.zeros((self.out_dim, self.n_ambient))
-        if self.mode == "gappy":
-            B[:, self.rows] = self.weights
-        else:
-            B[np.arange(self.rows.size), self.rows] = 1.0
-        return B
-
 
 def _check_rows(rows, n_ambient):
     rows = np.asarray(rows, dtype=np.int64)

@@ -36,9 +36,8 @@ kind of the blocks' Jacobians ``R_i`` and ``C_i``:
   is kept in a :class:`StepCache` across the problems of one instance:
   the copy labels and ``C``, the pattern of ``R Z`` and the map that
   gathers its values, and the column ordering COLAMD computes for the
-  first factor, which every later factor reuses.  An entry is rebuilt
-  when the ``C_i`` objects or the ``R_i`` index arrays it was built from
-  change;
+  first factor, which every later factor of that pattern reuses.  An
+  entry is rebuilt when what it was built from changes;
 * all dense (the ROMs): the dense normal-form KKT system
   ``[[blockdiag(R_i' R_i), C'], [C, 0]]``, regularized once by
   ``+delta I`` if its solve fails;
@@ -52,7 +51,6 @@ message prints it.
 
 from __future__ import annotations
 
-import mmap
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -69,7 +67,6 @@ from .errors import ConvergenceError
 ARMIJO_C1 = 1e-4    # sufficient-decrease constant of the line search
 MAX_HALVINGS = 25   # line-search step halvings before giving up
 REG_SCALE = 1e-12   # KKT fallback regularization, relative to trace(R'R)
-ORDERS_KEPT = 4     # sparsity patterns one ordered_splu ordering list keeps
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,9 +100,9 @@ class StepCache:
     * SuperLU's column ordering of ``R Z``, COLAMD's from its first factor
       (:func:`ordered_splu`).
 
-    Each entry is checked against what it was built from, the ``C_i``
-    objects and the ``R_i`` index arrays, and is rebuilt, with what
-    derives from it, when they differ.
+    Each entry is checked against what it was built from (the ``C_i``
+    objects, the ``R_i`` index arrays, ``R Z``'s pattern by value) and is
+    rebuilt, with what derives from it, when they differ.
     """
 
     def __init__(self):
@@ -352,7 +349,6 @@ def _rz_matrix(prob: SqpProblem, ev: SqpEval, labels):
         hit = cache.rz = (labels, [(R.indptr.copy(), R.indices.copy())
                                    for R in Rs],
                           *_rz_pattern(prob, Rs, labels))
-        cache.ordering = []
     _, _, pattern, take, dup_value, dup_entry = hit
     data = np.concatenate([R.data for R in Rs])
     values = data[take]
@@ -391,41 +387,26 @@ def _lu(K):
 
 def ordered_splu(K, ordering: list):
     """``(solve, pivot)`` of the CSC ``K`` as :func:`_lu` gives them, with
-    SuperLU's COLAMD ordering computed once per sparsity pattern.
-    ``ordering`` holds, most recently used first, at most ``ORDERS_KEPT``
-    patterns, each with a copy of its first factor's ``perm_c``
-    (``lu.perm_c`` itself keeps the whole factor alive) and the pattern
-    pre-permuted by it with the gather into it, all in one memory map
-    (:func:`_off_heap`).  A pattern met again, compared by value, is
+    SuperLU's COLAMD ordering computed only when the sparsity pattern
+    changes.  ``ordering`` holds at most one entry: the pattern of the
+    last COLAMD factor, a copy of its ``perm_c`` (``lu.perm_c`` itself
+    keeps the whole factor alive) and the pattern pre-permuted by it with
+    the gather into it.  A ``K`` of that pattern, compared by value, is
     factored pre-permuted in its natural order, with bitwise the COLAMD
-    factor, and the solution is read back through ``perm_c``."""
-    for i, (ptr, ind, perm_c, pptr, pind, take) in enumerate(ordering):
+    factor, and the solution is read back through ``perm_c``; a ``K`` of
+    another pattern is factored with COLAMD and replaces the entry."""
+    if ordering:
+        ptr, ind, perm_c, pptr, pind, take = ordering[0]
         if np.array_equal(ptr, K.indptr) and np.array_equal(ind, K.indices):
-            ordering.insert(0, ordering.pop(i))
             lu = _splu(sp.csc_matrix((K.data[take], pind, pptr),
                                      shape=K.shape), "NATURAL")
             return (lambda b: lu.solve(b)[perm_c]), _superlu_pivot(lu)
     lu = _splu(K)
     index = sp.csc_matrix((np.arange(K.nnz), K.indices, K.indptr),
                           shape=K.shape)[:, np.argsort(lu.perm_c)]
-    ordering.insert(0, _off_heap(K.indptr, K.indices, lu.perm_c,
-                                 index.indptr, index.indices, index.data))
-    del ordering[ORDERS_KEPT:]
+    ordering[:] = [(K.indptr.copy(), K.indices.copy(), lu.perm_c.copy(),
+                    index.indptr, index.indices, index.data)]
     return lu.solve, _superlu_pivot(lu)
-
-
-def _off_heap(*arrays):
-    """Copies of ``arrays``, views of one anonymous memory map.  For index
-    data kept across many solves: on the malloc heap, each long-lived copy
-    keeps the memory freed around it from being returned, and the kept
-    orderings raised a 120x12 snapshot sweep's peak RSS by 4-5 MB."""
-    starts = np.cumsum([0] + [-(-a.nbytes // 8) * 8 for a in arrays])
-    buf = mmap.mmap(-1, max(int(starts[-1]), 1))
-    out = tuple(np.frombuffer(buf, a.dtype, a.size, int(pos))
-                for a, pos in zip(arrays, starts))
-    for view, a in zip(out, arrays):
-        view[...] = a
-    return out
 
 
 def _refined_solve(mat, rhs, factor=None):

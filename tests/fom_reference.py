@@ -5,6 +5,9 @@ operators: the residual as Hadamard products of whole-grid difference
 products, the Jacobian as the sparse sum of ``diag`` and ``D Bx`` blocks
 that ``sp.bmat`` stacks.  Sparse sums and products keep no exact zeros.
 Tests compare the library's kernel with these, which share none of its code.
+:func:`reference_jacobian_on_pattern` places the same values on the fixed
+stencil pattern, explicit zeros kept, as the library's Jacobian stores them.
+:func:`reference_hr_matrix` is the dense hyper-reduction weighting ``B``.
 
 :func:`reference_rz_matrix` builds the decomposed FOM's Newton matrix
 ``R Z`` from scratch at every call, the reference for the SQP step's
@@ -45,6 +48,36 @@ def reference_jacobian(ops, s):
     Jvv = (Du @ ops.Bx + sp.diags(ops.By @ v - ops.bvy) + Dv @ ops.By
            + ops.Cdiff)
     return sp.bmat([[Juu, Juv], [Jvu, Jvv]], format="csr")
+
+
+def reference_jacobian_on_pattern(ops, s):
+    """:func:`reference_jacobian` placed on the stencil pattern (CSR, sorted
+    columns): per block the entries of ``Bx``, ``By``, ``Cdiff`` and the
+    diagonal, between blocks the diagonal, holding an explicit zero where
+    the formula's sparse sum has no entry."""
+    J = reference_jacobian(ops, s).tocoo()
+    eye = sp.identity(ops.grid.nnode)
+    block = abs(ops.Bx) + abs(ops.By) + abs(ops.Cdiff) + eye
+    support = sp.bmat([[block, eye], [eye, block]], format="csr")
+    support.sort_indices()
+    n = support.shape[1]
+    keys = (np.repeat(np.arange(support.shape[0]), np.diff(support.indptr))
+            * n + support.indices)
+    data = np.zeros(support.nnz)
+    data[np.searchsorted(keys, J.row * n + J.col)] = J.data
+    return sp.csr_matrix((data, support.indices, support.indptr),
+                         shape=support.shape)
+
+
+def reference_hr_matrix(hr):
+    """The dense weighting matrix ``B`` of an ``hyper.HrOperator``, from its
+    ``rows`` and, for gappy POD, its ``weights``."""
+    B = np.zeros((hr.out_dim, hr.n_ambient))
+    if hr.mode == "gappy":
+        B[:, hr.rows] = hr.weights
+    else:
+        B[np.arange(hr.rows.size), hr.rows] = 1.0
+    return B
 
 
 def reference_rz_matrix(prob, ev, labels):

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
-from ddrom import burgers, sqp
+from ddrom import burgers
 from ddrom.burgers import (
     Grid2D,
     ParameterPoint,
@@ -19,8 +19,8 @@ from ddrom.burgers import (
 )
 from ddrom.errors import ConvergenceError, SingularityError
 
-from fom_reference import reference_jacobian, reference_newton, \
-    reference_residual
+from fom_reference import reference_jacobian, \
+    reference_jacobian_on_pattern, reference_newton, reference_residual
 
 
 # ---------------------------------------------------------------- exact solution
@@ -286,23 +286,29 @@ def test_structural_pattern_is_the_jacobian_support():
 
 @pytest.mark.parametrize("nx,ny", [(24, 6), (60, 8), (120, 12)])
 def test_residual_and_jacobian_bitwise_equal_sparse_formula(nx, ny):
-    # the kernel's Jacobian, exact zeros dropped, has the pattern and the
-    # values of the zero-free sparse sum, so SuperLU factors the same matrix
+    # the kernel's Jacobian keeps the structural pattern at every state,
+    # the zero state's exact zeros included, and holds bitwise the values
+    # of the sparse sum placed on it, so SuperLU factors the same matrix
     g = Grid2D(nx=nx, ny=ny)
     p = ParameterPoint(4321.0, 17.5)
     ops = assemble(g, p)
+    pat = structural_pattern(g)
     converged, trace = solve_monolithic(g, p)
     assert trace.converged
     random = np.random.default_rng(nx).normal(size=g.ndof)
     for s in (np.zeros(g.ndof), random, converged):
-        J, J_ref = jacobian(ops, s), reference_jacobian(ops, s)
+        J, J_ref = jacobian(ops, s), reference_jacobian_on_pattern(ops, s)
         assert isinstance(J, sp.csr_matrix) and J.shape == J_ref.shape
-        for got, want in ((J.indptr, J_ref.indptr),
+        for got, want in ((J.indptr, pat.indptr), (J.indices, pat.indices),
+                          (J.indptr, J_ref.indptr),
                           (J.indices, J_ref.indices),
                           (J.data, J_ref.data),
                           (residual(ops, s), reference_residual(ops, s))):
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
+        # where the zero-free sum has an entry, the values are its own
+        free = reference_jacobian(ops, s).tocoo()
+        assert J[free.row, free.col].A1.tobytes() == free.data.tobytes()
         # the caller owns the matrix: changing it changes no later one
         J.data[:] = 0.0
         J.eliminate_zeros()
@@ -389,7 +395,7 @@ def test_newton_iterates_bitwise_with_sparse_formula_jacobian(monkeypatch):
         return out
 
     got = solves()
-    monkeypatch.setattr(burgers, "jacobian", reference_jacobian)
+    monkeypatch.setattr(burgers, "jacobian", reference_jacobian_on_pattern)
     assert solves() == got
 
 
@@ -440,10 +446,11 @@ def _spy_factors(monkeypatch):
     return factors, patterns
 
 
-def test_fom_colamd_runs_once_per_jacobian_pattern(monkeypatch):
-    # cold-start queries on two grids, twice each: COLAMD orders each
-    # distinct Jacobian pattern of a grid once, every other factor is
-    # SuperLU's natural order on the pre-permuted matrix
+def test_fom_colamd_runs_once_per_grid(monkeypatch):
+    # cold-start queries on two grids, twice each: every Jacobian of a
+    # grid has its structural pattern, COLAMD orders it at the grid's
+    # first factor, and every other factor is SuperLU's natural order on
+    # the pre-permuted matrix
     burgers._fom_kernel.cache_clear()
     factors, patterns = _spy_factors(monkeypatch)
     grids = [Grid2D(24, 6), Grid2D(60, 8)]
@@ -453,19 +460,20 @@ def test_fom_colamd_runs_once_per_jacobian_pattern(monkeypatch):
         for g in grids:
             for p in points:
                 assert solve_monolithic(g, p)[1].converged
-    assert len(factors) == len(patterns) > 4 * len(set(patterns))
-    assert len(set(patterns)) <= len(grids) * sqp.ORDERS_KEPT
+    assert len(factors) == len(patterns) > 4 * len(grids)
+    assert len(set(patterns)) == len(grids)
     colamd = [k for spec, k in factors if spec is None]
     assert sorted(colamd) == sorted(set(patterns))
     assert all(spec in (None, "NATURAL") for spec, _ in factors)
     for g in grids:
-        assert len(burgers._fom_kernel(g).ordering) <= sqp.ORDERS_KEPT
+        assert len(burgers._fom_kernel(g).ordering) == 1
 
 
-def test_fom_orderings_stay_bounded_over_a_warm_sweep(monkeypatch):
-    # a warm-started sweep meets more Jacobian patterns than a grid keeps
-    # orderings for: the kept entries never exceed ORDERS_KEPT, and none
-    # is a view of a factor (SuperLU's own perm_c would pin it)
+def test_fom_warm_sweep_keeps_one_ordering(monkeypatch):
+    # a warm-started sweep, whose states leave exact zeros at different
+    # entries, factors one Jacobian pattern: the grid keeps one entry, runs
+    # COLAMD once, and no kept array is a view of a factor (SuperLU's own
+    # perm_c would pin it)
     burgers._fom_kernel.cache_clear()
     factors, patterns = _spy_factors(monkeypatch)
     g = Grid2D(24, 6)
@@ -476,11 +484,12 @@ def test_fom_orderings_stay_bounded_over_a_warm_sweep(monkeypatch):
             prev, trace = solve_monolithic(g, ParameterPoint(a, lam),
                                            init=prev)
             assert trace.converged
-            assert 0 < len(ordering) <= sqp.ORDERS_KEPT
-            assert not any(isinstance(a.base, scipy.sparse.linalg.SuperLU)
-                           for entry in ordering for a in entry)
-    assert len(set(patterns)) > sqp.ORDERS_KEPT
-    assert sum(spec is None for spec, _ in factors) < len(factors)
+            assert len(ordering) == 1
+            assert not any(isinstance(arr.base, scipy.sparse.linalg.SuperLU)
+                           for arr in ordering[0])
+    assert len(set(patterns)) == 1
+    assert [spec for spec, _ in factors] == (
+        [None] + ["NATURAL"] * (len(factors) - 1))
 
 
 @pytest.mark.parametrize("kept_pattern", [False, True])

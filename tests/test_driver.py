@@ -3,7 +3,6 @@ bound diagnostics, and the benchmark harness."""
 
 import csv
 import inspect
-import mmap
 from dataclasses import replace
 
 import numpy as np
@@ -47,8 +46,8 @@ from ddrom import sqp
 from ddrom.sqp import SqpBlock, SqpConfig, SqpProblem, _kkt_matrix, \
     assemble_and_solve_kkt, eval_gradients, is_square, iterate
 
-from fom_reference import reference_jacobian, reference_residual, \
-    reference_rz_matrix
+from fom_reference import reference_hr_matrix, reference_jacobian, \
+    reference_residual, reference_rz_matrix
 
 
 @pytest.fixture(scope="module")
@@ -459,6 +458,8 @@ def test_cached_square_step_is_bitwise_the_uncached_step():
     # built from scratch and factored with COLAMD every time
     part = build_partition(Grid2D(60, 8), 2, 2)
     inst = build_dd_fom(part)
+    ordering = inst._step.ordering
+    kept = []
     for a, lam in ((5000.0, 15.0), (300.0, 10.0), (8506.0, 23.6)):
         prob = build_problem(inst, assemble(part.grid,
                                             ParameterPoint(a, lam)))
@@ -479,7 +480,9 @@ def test_cached_square_step_is_bitwise_the_uncached_step():
             np.testing.assert_array_equal(s, y[labels])
             assert kkt_res == res
             x = x + s
-    assert len(inst._step.ordering) == 1
+            kept += ordering
+    # the holder keeps one entry, the first factor's
+    assert len(ordering) == 1 and all(e is ordering[0] for e in kept)
 
 
 def test_colamd_orders_once_per_instance(monkeypatch):
@@ -522,7 +525,8 @@ def test_step_cache_ordering_owns_its_perm_c():
                        SqpConfig(tol=1e-6), x0=x0, compute_error=False)
     assert rec.converged
     entry, = inst._step.ordering
-    assert all(isinstance(a.base.obj, mmap.mmap) for a in entry)
+    assert not any(isinstance(a.base, scipy.sparse.linalg.SuperLU)
+                   for a in entry)
 
 
 # ------------------------------------------------------------------ LS-ROM
@@ -661,7 +665,7 @@ def test_multipliers_zero_at_zero_residual():
     p = ParameterPoint(300.0, 10.0)
     part = build_partition(grid, 2, 1)
     inst = build_dd_fom(part)
-    x_star, _ = solve_monolithic(grid, p, tol=1e-12)
+    x_star, _ = solve_monolithic(grid, p, tol=1e-11)
     x0 = np.concatenate(
         [np.concatenate(part.restrict(i, x_star))
          for i in range(part.n_sub)])
@@ -810,7 +814,7 @@ def test_hr_blocks_weight_full_row_blocks(desk, name, mode, request):
     sampled = evaluate_blocks(h, ops, x)
     for hr, ref, got in zip(h.hr, full, sampled):
         for g, f in zip(got[:2], ref[:2]):
-            assert_rel_close(dense(g), hr.matrix() @ dense(f))
+            assert_rel_close(dense(g), reference_hr_matrix(hr) @ dense(f))
         for g, f in zip(got[2:], ref[2:]):
             np.testing.assert_array_equal(dense(g), dense(f))
 

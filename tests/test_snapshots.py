@@ -19,7 +19,7 @@ from ddrom.snapshots import (
     split_columns,
 )
 
-from fom_reference import reference_jacobian, reference_newton
+from fom_reference import reference_jacobian_on_pattern, reference_newton
 
 
 # ---------------------------------------------------------------- binary format
@@ -247,7 +247,7 @@ def test_generate_bitwise_with_sparse_formula_jacobian(monkeypatch):
         return [a.tobytes() for a in out]
 
     got = arrays()
-    monkeypatch.setattr(burgers, "jacobian", reference_jacobian)
+    monkeypatch.setattr(burgers, "jacobian", reference_jacobian_on_pattern)
     assert arrays() == got
 
 

@@ -407,9 +407,10 @@ def fixed_pattern_block(A_int, A_gam, b, C):
 
 def test_step_cache_rebuilds_on_new_coupling_or_pattern(monkeypatch):
     # a StepCache shared by problems keeps the copy labels while the blocks
-    # return the same C_i objects, and the R Z map and column ordering
-    # while the R_i index arrays hold the same entries; another C_i object
-    # or R_i pattern rebuilds them.  Three interface unknowns are copies of one
+    # return the same C_i objects, the R Z map while the R_i index arrays
+    # hold the same entries, and its one column ordering while R Z keeps
+    # the same pattern; another C_i object or R_i pattern rebuilds what
+    # derives from it.  Three interface unknowns are copies of one
     # (labels [0 1 2 2 2]), so R Z sums three columns per row, in the order
     # SuperLU's sum_duplicates does.  Every step is bitwise a fresh cache's.
     rng = np.random.default_rng(31)
@@ -445,7 +446,8 @@ def test_step_cache_rebuilds_on_new_coupling_or_pattern(monkeypatch):
         for name in ("indptr", "indices", "data"):
             np.testing.assert_array_equal(getattr(RZ, name),
                                           getattr(want, name))
-        return cache.copies, cache.rz, cache.ordering
+        ordering, = cache.ordering
+        return cache.copies, cache.rz, ordering
 
     def same(a, b):
         return [u is v for u, v in zip(a, b)]
@@ -459,11 +461,12 @@ def test_step_cache_rebuilds_on_new_coupling_or_pattern(monkeypatch):
         x = x + 0.1
         assert same(solve(blk, x), built) == [True] * 3
         assert specs == ["NATURAL", None]
-    # the same entries in another C_i object: labels, map and ordering
-    # are rebuilt
+    # the same entries in another C_i object: labels and map are rebuilt,
+    # and R Z's pattern, equal by value, keeps its ordering
     C_copy = C.copy()
     other = solve(fixed_pattern_block(A_int, A_gam, b, C_copy), x)
-    assert same(other, built) == [False] * 3 and specs == [None, None]
+    assert same(other, built) == [False, False, True]
+    assert specs == ["NATURAL", None]
     # one stored entry fewer in R_i under the same C_i: the labels stay,
     # the map and the ordering are rebuilt
     A_less = A_int.copy()
